@@ -197,11 +197,9 @@ let explain_cmd =
         exit 1
   in
   (* Markers for the multi-statement form: how would the flush-level MQO
-     pass and the result cache treat each statement, were they submitted
-     as one coalesced read group?  A normalized duplicate of an earlier
-     statement executes zero times (and a repeat flush serves it from the
-     result cache); a same-shape plan rides an earlier statement's shared
-     pass. *)
+     pass treat each statement, were they submitted as one coalesced read
+     group?  A normalized duplicate of an earlier statement executes zero
+     times; a same-shape plan rides an earlier statement's shared pass. *)
   let markers selects physs =
     let keys =
       List.map (fun s -> Sloth_sql.Normalize.key (Sloth_sql.Ast.Select s)) selects
@@ -219,9 +217,9 @@ let explain_cmd =
           |> Option.get (* finds at worst i itself *)
         in
         if dup < i then
-          [ Printf.sprintf "[cache hit] normalized duplicate of statement \
-                            #%d; executes once, repeat flushes are served \
-                            from the result cache" (dup + 1) ]
+          [ Printf.sprintf
+              "[dedup] normalized duplicate of statement #%d; shares its \
+               result" (dup + 1) ]
         else
           match group_of i with
           | Some { g_shape; g_members = first :: _ } when first <> i -> (
@@ -293,7 +291,7 @@ let explain_cmd =
           semicolon-separated SELECTs are explained as one coalesced flush: \
           statements the multi-query optimizer would fuse are annotated \
           with [shared probe-set] / [shared scan] / [shared join] markers, \
-          and normalized duplicates with [cache hit].")
+          and normalized duplicates with [dedup].")
     Term.(const run $ app_arg $ query_arg $ no_planner_arg)
 
 (* --- soak ---------------------------------------------------------------- *)

@@ -57,7 +57,7 @@ val create_sharded : Sloth_storage.Shard.t -> Sloth_net.Link.t -> t
 
 val app_cost_per_stmt_ms : float ref
 (** Client-side CPU per statement: driver marshalling, ORM hydration,
-    framework bookkeeping (default 0.55 ms — calibrated so the page-load
+    framework bookkeeping (default 1.0 ms — calibrated so the page-load
     time breakdown matches the paper's Fig. 8 proportions). *)
 
 val app_cost_per_row_ms : float ref

@@ -1,12 +1,11 @@
 (* The MQO experiment: run identical multi-flush read/write schedules
-   through three arms and compare rows scanned, sharing counters and
-   result sets.
+   through two arms and compare rows scanned, sharing counters and result
+   sets.
 
      independent — every SELECT planned and executed on its own
-     shared      — the existing flush path: normalized dedup + shared
-                   sequential scans (Database.exec_reads, MQO off)
-     mqo         — the same entry point with the plan-merge pass and the
-                   version-keyed result cache enabled
+     mqo         — the flush path (Database.exec_reads: normalized dedup,
+                   shared scans, fused probe sets, shared joins) with the
+                   version-keyed result cache attached
 
    Each arm runs on its own freshly populated application database
    (deterministic seed), so the schedules are byte-identical inputs.  The
@@ -23,8 +22,8 @@ type step = Flush of string list | Write of string
 (* --- schedules ----------------------------------------------------------- *)
 
 (* Many aggregates over unindexed columns of one hot table: every query
-   plans as a sequential scan, so the shared arm already collapses them —
-   the mqo arm adds cache hits on the repeat flushes. *)
+   plans as a sequential scan, so one shared heap pass serves the flush and
+   the repeat flushes hit the cache. *)
 let dashboard_suite (module A : Sloth_workload.App_sig.S) =
   let flush =
     if String.equal A.name "tracker" then
@@ -163,20 +162,17 @@ let independent_arm (module A : Sloth_workload.App_sig.S) steps =
         selects)
     steps
 
-let exec_reads_arm db selects =
-  List.map
-    (fun ((o : Db.outcome), scanned) -> (o.Db.rs, scanned))
-    (Db.exec_reads db selects)
-
-let shared_arm (module A : Sloth_workload.App_sig.S) steps =
-  let db = Runner.prepare (module A) in
-  run_schedule db exec_reads_arm steps
-
 let mqo_arm (module A : Sloth_workload.App_sig.S) steps =
   let db = Runner.prepare (module A) in
-  Db.set_mqo db true;
   Db.set_result_cache db (Some 64);
-  let r = run_schedule db exec_reads_arm steps in
+  let r =
+    run_schedule db
+      (fun db selects ->
+        List.map
+          (fun ((o : Db.outcome), scanned) -> (o.Db.rs, scanned))
+          (Db.exec_reads db selects))
+      steps
+  in
   (r, Db.read_stats db)
 
 (* --- reporting ----------------------------------------------------------- *)
@@ -187,7 +183,6 @@ type cell = {
   flushes : int;
   queries : int;
   ind_scanned : int;
-  shr_scanned : int;
   mqo_scanned : int;
   stats : Db.read_stats;
   identical : bool;
@@ -204,7 +199,6 @@ let flushes_equal a b =
 
 let run_suite (module A : Sloth_workload.App_sig.S) (suite, steps) =
   let ind_rs, ind_scanned = independent_arm (module A) steps in
-  let shr_rs, shr_scanned = shared_arm (module A) steps in
   let (mqo_rs, mqo_scanned), stats = mqo_arm (module A) steps in
   let queries =
     List.fold_left
@@ -218,10 +212,9 @@ let run_suite (module A : Sloth_workload.App_sig.S) (suite, steps) =
       List.length (List.filter (function Flush _ -> true | _ -> false) steps);
     queries;
     ind_scanned;
-    shr_scanned;
     mqo_scanned;
     stats;
-    identical = flushes_equal ind_rs shr_rs && flushes_equal shr_rs mqo_rs;
+    identical = flushes_equal ind_rs mqo_rs;
   }
 
 let cell_row c =
@@ -231,7 +224,6 @@ let cell_row c =
     string_of_int c.flushes;
     string_of_int c.queries;
     string_of_int c.ind_scanned;
-    string_of_int c.shr_scanned;
     string_of_int c.mqo_scanned;
     string_of_int c.stats.Db.cache_hits;
     string_of_int c.stats.Db.cache_invalidations;
@@ -250,25 +242,20 @@ let json_of_cells cells =
         (Printf.sprintf
            "    {\"app\": \"%s\", \"suite\": \"%s\", \"flushes\": %d, \
             \"queries\": %d, \"rows_scanned_independent\": %d, \
-            \"rows_scanned_shared\": %d, \"rows_scanned_mqo\": %d, \
+            \"rows_scanned_mqo\": %d, \
             \"cache_hits\": %d, \"cache_misses\": %d, \
             \"cache_invalidations\": %d, \"probe_sets_merged\": %d, \
             \"joins_shared\": %d, \"results_identical\": %b}"
-           c.app c.suite c.flushes c.queries c.ind_scanned c.shr_scanned
-           c.mqo_scanned c.stats.Db.cache_hits c.stats.Db.cache_misses
+           c.app c.suite c.flushes c.queries c.ind_scanned c.mqo_scanned c.stats.Db.cache_hits c.stats.Db.cache_misses
            c.stats.Db.cache_invalidations c.stats.Db.probe_sets_merged
            c.stats.Db.joins_shared c.identical))
     cells;
   let hits = List.fold_left (fun a c -> a + c.stats.Db.cache_hits) 0 cells in
-  let saved =
-    List.fold_left (fun a c -> a + (c.shr_scanned - c.mqo_scanned)) 0 cells
-  in
   let identical = List.for_all (fun c -> c.identical) cells in
   Buffer.add_string b
     (Printf.sprintf
-       "\n  ],\n  \"cache_hit_total\": %d,\n  \
-        \"rows_scanned_saved_vs_shared\": %d,\n  \"results_identical\": %b\n}\n"
-       hits saved identical);
+       "\n  ],\n  \"cache_hit_total\": %d,\n  \"results_identical\": %b\n}\n"
+       hits identical);
   Buffer.contents b
 
 let mqo ?json () =
@@ -277,10 +264,11 @@ let mqo ?json () =
   Printf.printf
     "  (identical multi-flush schedules — repeated flushes, interleaved \
      writes — run\n\
-    \   through three arms; 'mqo' merges index probes and join subplans and \
-     caches\n\
-    \   results across flushes keyed on table versions; result sets must \
-     stay identical)\n";
+    \   independently and through the flush path; 'mqo' merges index probes \
+     and join\n\
+    \   subplans and caches results across flushes keyed on table versions; \
+     result sets\n\
+    \   must stay identical)\n";
   let cells =
     List.map (run_suite Sloth_workload.App_sig.tracker)
       (suites Sloth_workload.App_sig.tracker)
@@ -290,14 +278,14 @@ let mqo ?json () =
   Report.table
     ~header:
       [
-        "app"; "suite"; "flushes"; "queries"; "scan ind"; "scan shr";
-        "scan mqo"; "hits"; "inval"; "probes"; "joins"; "identical";
+        "app"; "suite"; "flushes"; "queries"; "scan ind"; "scan mqo"; "hits";
+        "inval"; "probes"; "joins"; "identical";
       ]
     (List.map cell_row cells);
   let identical = List.for_all (fun c -> c.identical) cells in
   let hits = List.fold_left (fun a c -> a + c.stats.Db.cache_hits) 0 cells in
   let never_more =
-    List.for_all (fun c -> c.mqo_scanned <= c.shr_scanned) cells
+    List.for_all (fun c -> c.mqo_scanned <= c.ind_scanned) cells
   in
   Printf.printf
     "\n  results identical everywhere: %b; mqo never scans more: %b; total \

@@ -102,10 +102,7 @@ and arrival = {
 and t = {
   sim : Des.t;
   mutable db : Db.t;  (* re-pointed to the promoted replica on failover *)
-  mutable cur_window : float;  (* current coalescing window *)
-  window_bounds : (float * float) option;
-      (* (floor, ceiling): adapt [cur_window] to the recent sharing rate;
-         [None] keeps the window fixed *)
+  window_ms : float;  (* coalescing window *)
   max_coalesce : int;
   share : bool;
   retry : Retry_policy.t;
@@ -165,14 +162,10 @@ and t = {
   mutable s_ryw_violations : int;
 }
 
-let create ~sim ~db ?(window_ms = 2.0) ?window_bounds ?(max_coalesce = 64)
+let create ~sim ~db ?(window_ms = 2.0) ?(max_coalesce = 64)
     ?(share = true) ?(retry = Retry_policy.served) ?(restart_after_ms = 4.0)
     ?(idempotency_window = 512) ?replication ?sharding () =
   if max_coalesce < 1 then invalid_arg "Admission.create: max_coalesce";
-  (match window_bounds with
-  | Some (lo, hi) when lo < 0.0 || hi < lo ->
-      invalid_arg "Admission.create: window_bounds"
-  | _ -> ());
   if retry.Retry_policy.max_attempts < 1 then
     invalid_arg "Admission.create: retry.max_attempts";
   if idempotency_window < 1 then
@@ -195,11 +188,7 @@ let create ~sim ~db ?(window_ms = 2.0) ?window_bounds ?(max_coalesce = 64)
   {
     sim;
     db;
-    cur_window =
-      (match window_bounds with
-      | None -> window_ms
-      | Some (lo, hi) -> Float.min hi (Float.max lo window_ms));
-    window_bounds;
+    window_ms;
     max_coalesce;
     share;
     retry;
@@ -314,8 +303,6 @@ let engine_read_stats t =
   | Some sh -> Shard.read_stats sh
   | None -> Db.read_stats t.db
 
-let current_window_ms t = t.cur_window
-
 let stats t =
   let rs = engine_read_stats t in
   {
@@ -343,7 +330,7 @@ let stats t =
     cache_invalidations = rs.Db.cache_invalidations;
     probe_sets_merged = rs.Db.probe_sets_merged;
     joins_shared = rs.Db.joins_shared;
-    window_ms = t.cur_window;
+    window_ms = t.window_ms;
   }
 
 let pp_stats ppf s =
@@ -677,23 +664,6 @@ let direct t a =
    database serving the group (the primary, or a sufficiently caught-up
    replica) and [release] returns the executor the group was admitted
    on. *)
-(* Grow the coalescing window while flushes actually coalesce and a good
-   share of their reads come for free (deduped, shared or cache-hit — all
-   report zero rows scanned); shrink it back toward the floor when batches
-   arrive alone or the sharing dries up, so a quiet stream is not taxed
-   with latency for nothing.  No-op unless [create] was given bounds. *)
-let adapt_window t ~batches ~reads ~zero =
-  match t.window_bounds with
-  | None -> ()
-  | Some (lo, hi) ->
-      if reads > 0 then begin
-        let rate = float_of_int zero /. float_of_int reads in
-        if batches >= 2 && rate >= 0.5 then
-          t.cur_window <- Float.min hi (t.cur_window *. 1.25)
-        else if batches <= 1 || rate < 0.25 then
-          t.cur_window <- Float.max lo (t.cur_window /. 1.25)
-      end
-
 let run_flush_on ?replica t ~db ~release group =
   let e0 = t.epoch in
   t.s_flushes <- t.s_flushes + 1;
@@ -746,13 +716,6 @@ let run_flush_on ?replica t ~db ~release group =
   match do_reads ~sessions:group_sessions all_selects with
   | outs ->
       count_rows outs;
-      let zero =
-        List.fold_left
-          (fun acc ((_ : Db.outcome), scanned) ->
-            if scanned = 0 then acc + 1 else acc)
-          0 outs
-      in
-      adapt_window t ~batches:n ~reads:(List.length outs) ~zero;
       let costs = List.map (fun ((o : Db.outcome), _) -> o.Db.cost_ms) outs in
       (* split the flat outcome list back into per-batch replies *)
       let rec split outs = function
@@ -912,7 +875,7 @@ let arrive t a =
         if not t.flush_scheduled then begin
           t.flush_scheduled <- true;
           let e = t.epoch in
-          Des.at t.sim (Des.now t.sim +. t.cur_window) (fun () ->
+          Des.at t.sim (Des.now t.sim +. t.window_ms) (fun () ->
               if t.epoch = e then flush t)
         end
       end

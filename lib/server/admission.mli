@@ -175,16 +175,13 @@ type stats = {
       (** index probes merged into a shared probe-set pass by the MQO
           plan-merge *)
   joins_shared : int;  (** join subplans served from a shared execution *)
-  window_ms : float;
-      (** the coalescing window currently in force (equal to the [create]
-          argument unless adaptive bounds were given) *)
+  window_ms : float;  (** the coalescing window (the [create] argument) *)
 }
 
 val create :
   sim:Sloth_net.Des.t ->
   db:Sloth_storage.Database.t ->
   ?window_ms:float ->
-  ?window_bounds:float * float ->
   ?max_coalesce:int ->
   ?share:bool ->
   ?retry:Sloth_net.Retry_policy.t ->
@@ -195,15 +192,7 @@ val create :
   unit ->
   t
 (** Defaults: [window_ms = 2.0] (how long an arriving read batch may wait
-    for sharing partners), [window_bounds = None] (give
-    [Some (floor, ceiling)] to make the window {e adaptive}: after every
-    coalesced flush the server looks at how many batches shared it and what
-    fraction of its reads came for free — deduped, shared or cache-hit, all
-    reporting zero rows scanned — and grows the window by 25% toward the
-    ceiling while sharing pays, or shrinks it by 25% toward the floor when
-    batches arrive alone or the free-read rate drops below a quarter;
-    raises [Invalid_argument] when [floor < 0] or [ceiling < floor]),
-    [max_coalesce = 64] (fairness cap per flush),
+    for sharing partners), [max_coalesce = 64] (fairness cap per flush),
     [share = true] (with [share = false] read batches execute on arrival,
     one {!Sloth_storage.Database.exec_reads} call each — exactly the
     per-session behaviour of the synchronous driver, kept as the
@@ -283,10 +272,6 @@ val submit :
     server, so different sessions' tokens can never collide. *)
 
 val stats : t -> stats
-
-val current_window_ms : t -> float
-(** The coalescing window a read batch arriving now would wait for —
-    constant without [window_bounds], moving between the bounds with it. *)
 
 val pp_stats : Format.formatter -> stats -> unit
 (** Human-readable multi-line [key=value] rendering, for experiment

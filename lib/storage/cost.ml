@@ -45,15 +45,6 @@ let est_range_rows ~rows ~bounded_both =
 let seq_scan_ms m ~rows = m.scan_row_ms *. float_of_int rows
 let index_ms m ~est_rows = m.probe_ms +. (m.scan_row_ms *. est_rows)
 
-(* A fused probe-set pass (the MQO plan-merge): the first probe pays full
-   price, each additional sharer half a probe (the pass re-uses the index
-   descent bookkeeping), and every surfaced row is visited once.  With
-   [probes = 1] this is exactly [index_ms], so a solo planner decision is
-   unchanged by pricing through this term. *)
-let fused_probe_ms m ~probes ~est_rows =
-  (m.probe_ms *. (1.0 +. (0.5 *. Float.max 0.0 (probes -. 1.0))))
-  +. (m.scan_row_ms *. est_rows)
-
 (* Recursive-CTE fixpoint: the base leg runs once; the step leg re-runs once
    per semi-naive iteration over the shrinking delta, plus one probe-priced
    delta swap per iteration.  Without cardinality feedback we charge

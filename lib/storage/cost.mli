@@ -41,15 +41,6 @@ val seq_scan_ms : model -> rows:int -> float
 val index_ms : model -> est_rows:float -> float
 (** Cost of an index access expected to surface [est_rows] rows. *)
 
-val fused_probe_ms : model -> probes:float -> est_rows:float -> float
-(** Cost of running [probes] point lookups on one index as a single fused
-    probe-set pass (the MQO plan-merge, DESIGN §17): the first probe at full
-    price, each additional sharer at half a probe, plus one visit per
-    surfaced row.  [fused_probe_ms ~probes:1.0] equals [index_ms], so solo
-    plans are priced identically; with [probes > 1] the per-statement share
-    is [fused_probe_ms ... /. probes], which is what {!Planner.plan}'s
-    [?probe_sharers] divides by. *)
-
 val fixpoint_ms :
   model -> base_ms:float -> step_ms:float -> est_iterations:float -> float
 (** Cost of a recursive-CTE fixpoint (Plan [Fixpoint]): the base leg once

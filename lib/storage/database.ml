@@ -63,8 +63,6 @@ type t = {
   mutable txn : Txn.t option;
   cost : Cost.model;
   mutable dur : dur option;
-  mutable planner : bool;  (* cost-based planning (off = legacy heuristics) *)
-  mutable mqo : bool;  (* flush-level plan merging (probe sets, joins) *)
   mutable cache : Result_cache.t option;
       (* cross-flush result cache, keyed Normalize.key × table versions *)
   share : Executor.share_stats;  (* cumulative batch-sharing counters *)
@@ -85,8 +83,6 @@ let create ?(cost = Cost.default) () =
     txn = None;
     cost;
     dur = None;
-    planner = true;
-    mqo = false;
     cache = None;
     share = Executor.fresh_share_stats ();
     on_commit = None;
@@ -94,11 +90,6 @@ let create ?(cost = Cost.default) () =
   }
 
 let cost_model t = t.cost
-let set_planner t on = t.planner <- on
-let planner_enabled t = t.planner
-let mode t = if t.planner then Executor.Planned else Executor.Direct
-let set_mqo t on = t.mqo <- on
-let mqo_enabled t = t.mqo
 
 let set_result_cache t capacity =
   t.cache <-
@@ -816,7 +807,7 @@ let exec t stmt =
       let txn = Txn.create () in
       match
         Executor.execute (catalog t) ~log:(fun e -> Txn.log txn e)
-          ~mode:(mode t) ~model:t.cost stmt
+          ~model:t.cost stmt
       with
       | { rs; rows_scanned; rows_affected } ->
           let entries = Txn.entries txn in
@@ -832,7 +823,7 @@ let exec t stmt =
           error "%s" msg)
   | _ -> (
       let log = Option.map (fun txn e -> Txn.log txn e) t.txn in
-      match Executor.execute (catalog t) ?log ~mode:(mode t) ~model:t.cost stmt with
+      match Executor.execute (catalog t) ?log ~model:t.cost stmt with
       | { rs; rows_scanned; rows_affected } ->
           let cost_ms =
             Cost.query_ms t.cost ~rows_scanned
@@ -874,8 +865,7 @@ let exec_reads_core t selects : Executor.outcome list =
       probed
   in
   let outs =
-    Executor.execute_reads (catalog t) ~mode:(mode t) ~model:t.cost ~mqo:t.mqo
-      ~stats:t.share misses
+    Executor.execute_reads (catalog t) ~model:t.cost ~stats:t.share misses
   in
   let rec stitch probed outs =
     match (probed, outs) with
@@ -893,48 +883,10 @@ let exec_reads_core t selects : Executor.outcome list =
   in
   stitch probed outs
 
-(* Execute a whole batch.  With the planner on, maximal runs of consecutive
-   SELECTs go through {!Executor.execute_reads} together so identical
-   statements execute once and compatible sequential scans share one heap
-   pass; writes and transaction control run through {!exec} as barriers
-   between the read runs.  Outcomes come back in statement order. *)
-let exec_batch t stmts =
-  if not t.planner then List.map (exec t) stmts
-  else begin
-    let outcome_of_read (o : Executor.outcome) =
-      {
-        rs = o.rs;
-        rows_affected = o.rows_affected;
-        cost_ms =
-          Cost.query_ms t.cost ~rows_scanned:o.rows_scanned
-            ~rows_returned:(Result_set.num_rows o.rs);
-      }
-    in
-    let flush_reads pending acc =
-      match pending with
-      | [] -> acc
-      | _ -> (
-          let selects = List.rev pending in
-          match exec_reads_core t selects with
-          | outs -> List.rev_append (List.map outcome_of_read outs) acc
-          | exception Executor.Sql_error msg -> error "%s" msg)
-    in
-    let rec go pending acc = function
-      | [] -> List.rev (flush_reads pending acc)
-      | Sloth_sql.Ast.Select s :: rest -> go (s :: pending) acc rest
-      | stmt :: rest ->
-          let acc = flush_reads pending acc in
-          go [] (exec t stmt :: acc) rest
-    in
-    go [] [] stmts
-  end
-
 (* Execute a group of SELECTs through the multi-query read path and report
    how many rows each one actually scanned — the admission layer's entry
    point: a cross-session flush concatenates every waiting session's reads,
-   calls this once, and splits the outcomes back per batch.  The planner
-   toggle is respected; [Direct] mode plans each statement independently,
-   which is the differential oracle for cross-client sharing. *)
+   calls this once, and splits the outcomes back per batch. *)
 let exec_reads t selects =
   match exec_reads_core t selects with
   | outs ->
@@ -950,6 +902,26 @@ let exec_reads t selects =
             o.rows_scanned ))
         outs
   | exception Executor.Sql_error msg -> error "%s" msg
+
+(* Execute a whole batch: maximal runs of consecutive SELECTs go through
+   {!exec_reads} together so identical statements execute once and
+   compatible access paths share one pass; writes and transaction control
+   run through {!exec} as barriers between the read runs.  Outcomes come
+   back in statement order. *)
+let exec_batch t stmts =
+  let flush_reads pending acc =
+    match pending with
+    | [] -> acc
+    | _ -> List.rev_append (List.map fst (exec_reads t (List.rev pending))) acc
+  in
+  let rec go pending acc = function
+    | [] -> List.rev (flush_reads pending acc)
+    | Sloth_sql.Ast.Select s :: rest -> go (s :: pending) acc rest
+    | stmt :: rest ->
+        let acc = flush_reads pending acc in
+        go [] (exec t stmt :: acc) rest
+  in
+  go [] [] stmts
 
 let exec_sql t sql =
   match Sloth_sql.Parser.parse sql with

@@ -47,23 +47,6 @@ val create : ?cost:Cost.model -> unit -> t
 
 val cost_model : t -> Cost.model
 
-val set_planner : t -> bool -> unit
-(** Toggle cost-based planning (on by default).  Off, every statement runs
-    through the legacy first-match heuristics ({!Executor.Direct}) and
-    {!exec_batch} degenerates to independent per-statement execution — the
-    differential oracle for the planned path. *)
-
-val planner_enabled : t -> bool
-
-val set_mqo : t -> bool -> unit
-(** Toggle the flush-level plan-merge pass (off by default): point/range
-    index lookups of one read group fuse into shared probe-set passes and
-    structurally-equal join subplans execute once (see {!Mqo}).  Results
-    are identical either way; only the rows-scanned accounting and the
-    sharing counters change. *)
-
-val mqo_enabled : t -> bool
-
 val set_result_cache : t -> int option -> unit
 (** [Some capacity] attaches a cross-flush result cache (LRU-bounded to
     [capacity] entries) keyed on each statement's normalized text and the
@@ -283,12 +266,13 @@ val exec : t -> Sloth_sql.Ast.stmt -> outcome
     inside a transaction the transaction stays open (the client decides). *)
 
 val exec_batch : t -> Sloth_sql.Ast.stmt list -> outcome list
-(** Execute a whole batch, in order.  With the planner enabled, maximal
-    runs of consecutive SELECTs are executed together: statements that
-    normalize to the same canonical form run once (duplicates share the
-    result at zero scan cost) and plans that resolved to full sequential
-    scans of the same table share a single heap pass, so the summed
-    [cost_ms] reflects the shared work.  Writes and transaction control
+(** Execute a whole batch, in order.  Maximal runs of consecutive SELECTs
+    are executed together through {!exec_reads}: statements that normalize
+    to the same canonical form run once (duplicates share the result at
+    zero scan cost), full sequential scans of one table share a single heap
+    pass, point/range lookups on one index fuse into a shared probe-set
+    pass and structurally-equal join subplans run once (see {!Mqo}), so the
+    summed [cost_ms] reflects the shared work.  Writes and transaction control
     act as barriers between read runs.  Result sets are identical to
     [List.map (exec t)]. *)
 
@@ -296,11 +280,10 @@ val exec_reads : t -> Sloth_sql.Ast.select list -> (outcome * int) list
 (** Execute a group of SELECTs through the multi-query path of
     {!exec_batch} and additionally report each statement's rows scanned
     (0 for a normalized duplicate or a sharer of another statement's
-    sequential scan).  This is the async server's admission entry point: a
+    pass).  This is the async server's admission entry point: a
     cross-session flush concatenates the reads of every coalesced batch,
     executes them in one call so sharing happens {e across} sessions, and
-    splits the outcomes back per batch.  Respects {!set_planner}; in
-    [Direct] mode every statement is planned independently. *)
+    splits the outcomes back per batch. *)
 
 val exec_sql : t -> string -> outcome
 (** Parse then {!exec}. *)

@@ -726,15 +726,16 @@ let fresh_share_stats () =
    (modulo normalization) are planned and executed once, and all plans that
    resolved to a full sequential scan of the same table share a single pass
    over its heap — the first sharer is charged the scan, the others ride
-   along for free.  With [mqo] the plan-merge pass extends sharing to index
+   along for free.  The {!Mqo} plan-merge pass extends sharing to index
    access paths: point/range lookups on the same index fuse into one sorted
    probe-set pass, and structurally-equal join subplans (canonical
    fingerprint, estimates excluded) run once and fan their environments
-   out.  Result sets are identical to independent execution in both modes:
-   every shared path enumerates rows in rid order and the full WHERE is
-   re-applied per query. *)
-let execute_reads cat ?(mode = Planned) ?(model = Cost.default) ?(mqo = false)
+   out.  Result sets are identical to independent execution: every shared
+   path enumerates rows in rid order and the full WHERE is re-applied per
+   query. *)
+let execute_reads cat ?(model = Cost.default)
     ?(recursion_limit = Planner.default_recursion_limit) ?stats selects =
+  let mode = Planned in
   let by_key : (string, planned_read) Hashtbl.t = Hashtbl.create 16 in
   let entries =
     List.map
@@ -903,57 +904,18 @@ let execute_reads cat ?(mode = Planned) ?(model = Cost.default) ?(mqo = false)
             pr.pr_outcome <- Some (finish cat pr.pr_phys ~scanned:sc envs))
           members
   in
-  if mqo then begin
-    let reps_arr = Array.of_list reps in
-    let groups = Mqo.merge (List.map (fun pr -> pr.pr_phys) reps) in
-    List.iter
-      (fun (g : Mqo.group) ->
-        let members = List.map (fun i -> reps_arr.(i)) g.Mqo.g_members in
-        match (members, g.Mqo.g_shape) with
-        | [ pr ], _ -> solo pr
-        | _, Mqo.Sh_seq { table } -> shared_scan table members
-        | _, Mqo.Sh_eq { table; column } -> shared_eq table column members
-        | _, Mqo.Sh_range { table; column } -> shared_range table column members
-        | _, Mqo.Sh_join _ -> shared_join members
-        | _, Mqo.Sh_solo -> List.iter solo members)
-      groups
-  end
-  else begin
-    (* Legacy sharing: only bare sequential scans merge, grouped by table
-       in first-come order. *)
-    let scan_table pr =
-      (* A fixpoint plan whose main body scans the CTE would otherwise
-         masquerade as a scan of a real table of that name. *)
-      if pr.pr_phys.Plan.p_fixpoint <> None then None
-      else
-        match pr.pr_phys.Plan.p_source with
-        | Plan.P_scan { table; access = Plan.Seq_scan; _ } -> Some table
-        | _ -> None
-    in
-    let groups : (string, planned_read list ref) Hashtbl.t =
-      Hashtbl.create 4
-    in
-    List.iter
-      (fun pr ->
-        match scan_table pr with
-        | Some table -> (
-            match Hashtbl.find_opt groups table with
-            | Some cell -> cell := pr :: !cell
-            | None -> Hashtbl.add groups table (ref [ pr ]))
-        | None -> ())
-      reps;
-    List.iter
-      (fun pr ->
-        if pr.pr_outcome = None then
-          match scan_table pr with
-          | Some table -> (
-              match Hashtbl.find_opt groups table with
-              | Some cell when List.length !cell > 1 ->
-                  shared_scan table (List.rev !cell)
-              | _ -> solo pr)
-          | None -> solo pr)
-      reps
-  end;
+  let reps_arr = Array.of_list reps in
+  List.iter
+    (fun (g : Mqo.group) ->
+      let members = List.map (fun i -> reps_arr.(i)) g.Mqo.g_members in
+      match (members, g.Mqo.g_shape) with
+      | [ pr ], _ -> solo pr
+      | _, Mqo.Sh_seq { table } -> shared_scan table members
+      | _, Mqo.Sh_eq { table; column } -> shared_eq table column members
+      | _, Mqo.Sh_range { table; column } -> shared_range table column members
+      | _, Mqo.Sh_join _ -> shared_join members
+      | _, Mqo.Sh_solo -> List.iter solo members)
+    (Mqo.merge (List.map (fun pr -> pr.pr_phys) reps));
   List.map
     (fun (pr, first) ->
       let o = Option.get pr.pr_outcome in
@@ -1086,6 +1048,6 @@ let execute cat ?log ?(mode = Planned) ?(model = Cost.default)
         error "transaction control reached the executor"
   with Eval.Error msg -> error "%s" msg
 
-let execute_reads cat ?mode ?model ?mqo ?recursion_limit ?stats selects =
-  try execute_reads cat ?mode ?model ?mqo ?recursion_limit ?stats selects
+let execute_reads cat ?model ?recursion_limit ?stats selects =
+  try execute_reads cat ?model ?recursion_limit ?stats selects
   with Eval.Error msg -> error "%s" msg

@@ -74,26 +74,25 @@ val fresh_share_stats : unit -> share_stats
 
 val execute_reads :
   catalog ->
-  ?mode:mode ->
   ?model:Cost.model ->
-  ?mqo:bool ->
   ?recursion_limit:int ->
   ?stats:share_stats ->
   Sloth_sql.Ast.select list ->
   outcome list
-(** Execute a batch of reads together (multi-query optimization).
-    Statements that normalize to the same canonical form are planned and
-    executed once — duplicates share the representative's result set with
-    [rows_scanned = 0].  Plans that resolved to a full sequential scan of
-    the same table share a single pass over its heap: the first sharer is
-    charged the scan, the rest report [rows_scanned = 0] for it.  With
-    [mqo] (default off), the {!Mqo} plan-merge pass extends sharing to
-    index access paths: point/range lookups on the same index fuse into
-    one sorted probe-set pass and structurally-equal join subplans execute
-    once, with the same first-sharer-charged accounting.  [stats], when
-    given, accumulates sharing counters.  Result sets are identical to
-    executing each statement independently in every mode.  Outcomes are
-    returned in input order; any statement's error fails the batch. *)
+(** Execute a batch of reads together (multi-query optimization), each
+    planned in [Planned] mode.  Statements that normalize to the same
+    canonical form are planned and executed once — duplicates share the
+    representative's result set with [rows_scanned = 0].  Plans that
+    resolved to a full sequential scan of the same table share a single
+    pass over its heap: the first sharer is charged the scan, the rest
+    report [rows_scanned = 0] for it.  The {!Mqo} plan-merge pass extends
+    sharing to index access paths: point/range lookups on the same index
+    fuse into one sorted probe-set pass and structurally-equal join
+    subplans execute once, with the same first-sharer-charged accounting.
+    [stats], when given, accumulates sharing counters.  Result sets are
+    identical to executing each statement independently in either
+    {!mode}.  Outcomes are returned in input order; any statement's error
+    fails the batch. *)
 
 val plan_of_select :
   catalog ->

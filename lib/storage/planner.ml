@@ -187,22 +187,13 @@ let is_pk table c =
   | Some pk -> String.equal pk c
   | None -> false
 
-(* [sharers] is the number of same-flush statements expected to share one
-   fused probe pass on this index (Mqo's Sh_eq groups): the pass is priced by
-   {!Cost.fused_probe_ms} and this statement is charged its per-statement
-   share.  [sharers = 1] reduces exactly to {!Cost.index_ms}, so solo plans
-   are unchanged. *)
-let eq_est ?(sharers = 1) ~model table c =
+let eq_est ~model table c =
   let rows = Table.row_count table in
   let est_rows =
     if is_pk table c then Float.min 1.0 (float_of_int rows)
     else Cost.est_eq_rows ~rows ~ndv:(Table.ndv table c)
   in
-  let probes = float_of_int (max 1 sharers) in
-  {
-    Plan.est_rows;
-    est_ms = Cost.fused_probe_ms model ~probes ~est_rows /. probes;
-  }
+  { Plan.est_rows; est_ms = Cost.index_ms model ~est_rows }
 
 let range_est ~model table ~bounded_both =
   let rows = Table.row_count table in
@@ -278,11 +269,10 @@ let cheapest = function
           if e.est_ms < be.est_ms then cand else best)
         first rest
 
-let plan_access ?(sharers = 1) ~model table ~binding preds =
+let plan_access ~model table ~binding preds =
   let eqs =
     List.map
-      (fun (c, key) ->
-        (Plan.Index_eq { column = c; key }, eq_est ~sharers ~model table c))
+      (fun (c, key) -> (Plan.Index_eq { column = c; key }, eq_est ~model table c))
       (planned_eq_candidates ~binding table preds)
   in
   let ranges =
@@ -453,12 +443,12 @@ let plan_fixpoint ~plan_leg ~find ~model ~recursion_limit (c : cte) =
       };
   }
 
-let rec plan ?(probe_sharers = 1)
-    ?(recursion_limit = default_recursion_limit) ~find ~model (s : select) =
+let rec plan ?(recursion_limit = default_recursion_limit) ~find ~model
+    (s : select) =
   let fixpoint =
     Option.map
       (plan_fixpoint
-         ~plan_leg:(plan ~probe_sharers ~recursion_limit ~find ~model)
+         ~plan_leg:(plan ~recursion_limit ~find ~model)
          ~find ~model ~recursion_limit)
       s.sel_with
   in
@@ -471,9 +461,7 @@ let rec plan ?(probe_sharers = 1)
         let preds =
           match s.sel_where with None -> [] | Some w -> conjuncts w
         in
-        let access, est =
-          plan_access ~sharers:probe_sharers ~model table ~binding preds
-        in
+        let access, est = plan_access ~model table ~binding preds in
         let base = Plan.P_scan { table = t; binding; access; est } in
         List.fold_left (plan_join ~find ~model) base s.sel_joins
   in

@@ -22,7 +22,6 @@ val cte_columns : find:(string -> Table.t) -> Sloth_sql.Ast.cte -> string list
     in scope). *)
 
 val plan :
-  ?probe_sharers:int ->
   ?recursion_limit:int ->
   find:(string -> Table.t) ->
   model:Cost.model ->
@@ -31,11 +30,7 @@ val plan :
 (** Cost-based planning.  [find] resolves table names (raising the caller's
     error for unknown ones); the statement must already be validated and
     have its IN-subqueries materialized.  Planning is total: candidate keys
-    that fail to constant-fold are skipped, never raised.  [probe_sharers]
-    (default 1) prices equality-index candidates as this statement's share
-    of a fused probe-set pass over that many same-flush sharers
-    ({!Cost.fused_probe_ms}); 1 reduces exactly to {!Cost.index_ms}.
-    A [WITH] prefix plans into {!Plan.physical.p_fixpoint}, each leg planned
+    that fail to constant-fold are skipped, never raised.  A [WITH] prefix plans into {!Plan.physical.p_fixpoint}, each leg planned
     independently ([find] must resolve the CTE name, normally to the
     executor's working-table overlay) and capped at [recursion_limit]
     (default {!default_recursion_limit}) iterations. *)

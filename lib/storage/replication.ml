@@ -226,7 +226,6 @@ let create ~sim ~primary ?ack_replicas ?promote_quorum ?(retain = 64)
 
 let add_replica ?(rtt_ms = 1.0) ?fault ?(checkpoint_every = 8) t =
   let db = Database.create ~cost:(Database.cost_model t.primary) () in
-  Database.set_planner db (Database.planner_enabled t.primary);
   Database.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
     ~checkpoint:(Wal.mem ()) db;
   Database.set_ship_prepares db (Database.ship_prepares t.primary);

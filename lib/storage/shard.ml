@@ -61,9 +61,6 @@ type t = {
   coord : Two_pc.t;
   mutable fault : Fault.t option;
   mutable cur : dtxn option;
-  mutable gather_pushdown : bool;
-      (* push derivable WHERE restrictions into the per-shard gather
-         fetches instead of always shipping whole tables *)
   repl : repl_state option;
   ctr : counters;
 }
@@ -120,7 +117,6 @@ let create ?cost ?checkpoint_every ?(replicas_per_shard = 0) ?ack_replicas
     coord;
     fault = None;
     cur = None;
-    gather_pushdown = true;
     repl;
     ctr =
       {
@@ -137,10 +133,6 @@ let n_shards t = Array.length t.dbs
 let shard_db t i = t.dbs.(i)
 let coordinator t = t.coord
 let set_fault t f = t.fault <- f
-let set_planner t on = Array.iter (fun db -> Database.set_planner db on) t.dbs
-let set_mqo t on = Array.iter (fun db -> Database.set_mqo db on) t.dbs
-let set_gather_pushdown t on = t.gather_pushdown <- on
-let gather_pushdown_enabled t = t.gather_pushdown
 
 let set_result_cache t cap =
   Array.iter (fun db -> Database.set_result_cache db cap) t.dbs
@@ -759,12 +751,12 @@ let gather_preds selects =
    costed), load the union into a scratch engine, and run the original
    statements there — joins, aggregates, subqueries and recursive CTEs then
    just work.  The gather cost and scan count are folded into the first
-   statement's outcome.  With [gather_pushdown] (the default), each fetch
-   carries the weakest WHERE restriction every statement of the flush
-   allows for that table — the OR across statements of their pushable
-   literal-only conjuncts — so shards ship fewer rows; a statement with no
-   pushable restriction for a table forces that table to ship whole, which
-   keeps results byte-identical to the unpushed path.  Row order within a
+   statement's outcome.  Each fetch carries the weakest WHERE restriction
+   every statement of the flush allows for that table — the OR across
+   statements of their pushable literal-only conjuncts — so shards ship
+   fewer rows; a statement with no pushable restriction for a table forces
+   that table to ship whole, so results equal those of shipping every
+   table whole.  Row order within a
    table is shard-concatenation order, so a cross-shard-count comparison of
    result sets must be order-insensitive unless the query orders
    explicitly. *)
@@ -800,12 +792,9 @@ let exec_reads t selects =
     else begin
       t.ctr.c_gathers <- t.ctr.c_gathers + 1;
       let scratch = Database.create ~cost:(Database.cost_model t.dbs.(0)) () in
-      Database.set_planner scratch (Database.planner_enabled t.dbs.(0));
       (* The scratch engine is per-gather, so there is nothing for a result
          cache to carry across flushes (a dead gather's rows can never be
-         served) — but the plan-merge pass still applies within the
-         flush. *)
-      Database.set_mqo scratch (Database.mqo_enabled t.dbs.(0));
+         served). *)
       List.iter
         (fun name ->
           match Database.table t.dbs.(0) name with
@@ -820,9 +809,7 @@ let exec_reads t selects =
                   Database.create_ordered_index scratch ~table:name ~column:c)
                 (Table.ordered_columns tbl))
         known;
-      let pushed =
-        if t.gather_pushdown then gather_preds selects else fun _ -> None
-      in
+      let pushed = gather_preds selects in
       let fetches =
         List.map
           (fun name -> { (plain_select name) with Ast.sel_where = pushed name })

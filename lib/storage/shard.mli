@@ -21,10 +21,13 @@
 
     Known restrictions: an UPDATE may not modify a sharded table's primary
     key (the row would have to migrate between shards), and cross-shard
-    reads gather the referenced tables (filtered by the pushable WHERE
-    restriction when {!set_gather_pushdown} is on, whole otherwise) into a
-    scratch engine, so their row order is shard-concatenation order — equal
-    to the unsharded engine's only as a multiset unless the query sorts. *)
+    reads gather the referenced tables into a scratch engine, so their row
+    order is shard-concatenation order — equal to the unsharded engine's
+    only as a multiset unless the query sorts.  Each per-shard per-table
+    gather fetch carries the weakest restriction every statement of the
+    flush allows for that table: the OR across statements of their
+    literal-only conjuncts on that table's columns.  A statement with no
+    such restriction ships the table whole. *)
 
 type t
 
@@ -88,27 +91,10 @@ val set_fault : t -> Sloth_net.Fault.t option -> unit
     before that step's durable append, anything else = after); other
     failures deliver. *)
 
-val set_planner : t -> bool -> unit
-
-val set_mqo : t -> bool -> unit
-(** Broadcast {!Database.set_mqo} to every shard; gathers also enable the
-    plan-merge pass on their scratch engine. *)
-
 val set_result_cache : t -> int option -> unit
 (** Broadcast {!Database.set_result_cache} to every shard.  Gather scratch
     engines never cache — they are per-flush, so no dead gather's rows can
     be served. *)
-
-val set_gather_pushdown : t -> bool -> unit
-(** Enable (default) or disable WHERE pushdown on gathered cross-shard
-    reads.  When on, each per-shard per-table gather fetch carries the
-    weakest restriction every statement of the flush allows for that table:
-    the OR across statements of their literal-only conjuncts on that
-    table's columns.  A statement with no pushable restriction forces the
-    whole table to ship, so results are byte-identical either way — only
-    the shipped row count and gather cost change. *)
-
-val gather_pushdown_enabled : t -> bool
 
 val read_stats : t -> Database.read_stats
 (** {!Database.read_stats} summed across shards. *)

@@ -1,8 +1,8 @@
 (* Tests for the global multi-query optimizer and the version-keyed result
    cache: probe-set fusion and join sharing at the executor, LRU eviction
-   and version invalidation at the cache, the adaptive coalescing window at
-   the admission layer — and a differential fuzz suite replaying identical
-   interleaved read/write schedules with cache+MQO on and off (including
+   and version invalidation at the cache — and a differential fuzz suite
+   replaying identical interleaved read/write schedules through the cached
+   flush path and through independent per-statement execution (including
    across crash-restart, snapshot install and sharded deployments),
    asserting byte-identical results and no stale reads. *)
 
@@ -12,8 +12,6 @@ module Rs = Sloth_storage.Result_set
 module Rc = Sloth_storage.Result_cache
 module Shard = Sloth_storage.Shard
 module Wal = Sloth_storage.Wal
-module Des = Sloth_net.Des
-module Adm = Sloth_server.Admission
 module Ast = Sloth_sql.Ast
 module Parser = Sloth_sql.Parser
 
@@ -66,15 +64,16 @@ let rs_equal_unordered a b =
   let sort rs = List.sort compare (Rs.rows rs) in
   Rs.columns a = Rs.columns b && List.equal ( = ) (sort a) (sort b)
 
-(* Run the same select group through [execute_reads] with MQO off and on
-   and return (off outcomes, on outcomes, sharing stats of the on run). *)
+(* Run the same select group statement by statement and through
+   [execute_reads]; return (independent outcomes, shared outcomes, sharing
+   stats of the shared run). *)
 let both_ways db sqls =
   let cat = Db.catalog db in
   let model = Db.cost_model db in
   let selects = parse_selects sqls in
-  let off = Ex.execute_reads cat ~model selects in
+  let off = List.map (fun s -> Ex.execute cat ~model (Ast.Select s)) selects in
   let stats = Ex.fresh_share_stats () in
-  let on = Ex.execute_reads cat ~model ~mqo:true ~stats selects in
+  let on = Ex.execute_reads cat ~model ~stats selects in
   (off, on, stats)
 
 (* --- executor: probe-set fusion and join sharing -------------------------- *)
@@ -200,9 +199,25 @@ let test_cache_version_invalidation () =
 
 let scanned outs = List.fold_left (fun a (_, n) -> a + n) 0 outs
 
+(* The plan merge is the only sharing path: a fresh engine, with nothing
+   configured, already fuses two point lookups on one index. *)
+let test_db_fuses_probes_by_default () =
+  let db = setup seed_kv in
+  let outs =
+    Db.exec_reads db
+      (parse_selects
+         [ "SELECT * FROM kv WHERE grp = 1"; "SELECT val FROM kv WHERE grp = 2" ])
+  in
+  Alcotest.(check int) "one probe merged" 1
+    (Db.read_stats db).Db.probe_sets_merged;
+  match outs with
+  | [ (_, first); (_, second) ] ->
+      Alcotest.(check bool) "first charged the pass" true (first > 0);
+      Alcotest.(check int) "second rides free" 0 second
+  | _ -> Alcotest.fail "expected two outcomes"
+
 let test_db_cache_hit_and_invalidate () =
   let db = setup seed_kv in
-  Db.set_mqo db true;
   Db.set_result_cache db (Some 8);
   let q = [ "SELECT val FROM kv WHERE grp = 1" ] in
   let first = Db.exec_reads db (parse_selects q) in
@@ -245,7 +260,6 @@ let test_db_cache_lru_through_api () =
 
 let test_db_cache_bypassed_in_txn () =
   let db = setup seed_kv in
-  Db.set_mqo db true;
   Db.set_result_cache db (Some 8);
   let q = [ "SELECT val FROM kv WHERE id = 1" ] in
   ignore (Db.exec_reads db (parse_selects q));
@@ -266,7 +280,6 @@ let test_db_cache_cleared_on_crash_restart () =
   Db.enable_durability ~checkpoint_every:2 ~wal:(Wal.mem ())
     ~checkpoint:(Wal.mem ()) db;
   seed_kv db;
-  Db.set_mqo db true;
   Db.set_result_cache db (Some 8);
   let q = [ "SELECT val FROM kv WHERE grp = 3" ] in
   ignore (Db.exec_reads db (parse_selects q));
@@ -292,7 +305,6 @@ let test_db_cache_cleared_on_snapshot_install () =
   ignore (Db.exec_sql primary "UPDATE kv SET val = 'promoted' WHERE id = 1");
   let replica = mk () in
   seed_kv replica;
-  Db.set_mqo replica true;
   Db.set_result_cache replica (Some 8);
   let q = [ "SELECT val FROM kv WHERE id = 1" ] in
   ignore (Db.exec_reads replica (parse_selects q));
@@ -306,66 +318,14 @@ let test_db_cache_cleared_on_snapshot_install () =
     (Rs.rows (fst (List.hd out)).Db.rs
     = [ [| Sloth_storage.Value.Text "promoted" |] ])
 
-(* --- adaptive coalescing window ------------------------------------------- *)
-
-let test_window_bounds_validation () =
-  let sim = Des.create () in
-  let db = setup seed_kv in
-  Alcotest.check_raises "ceiling below floor rejected"
-    (Invalid_argument "Admission.create: window_bounds") (fun () ->
-      ignore (Adm.create ~sim ~db ~window_bounds:(4.0, 1.0) ()));
-  let srv = Adm.create ~sim ~db ~window_ms:100.0 ~window_bounds:(1.0, 8.0) () in
-  Alcotest.(check (float 1e-9)) "initial window clamped to the ceiling" 8.0
-    (Adm.current_window_ms srv)
-
-let test_window_grows_under_sharing () =
-  let sim = Des.create () in
-  let db = setup seed_kv in
-  let srv = Adm.create ~sim ~db ~window_ms:2.0 ~window_bounds:(0.5, 20.0) () in
-  let sessions = List.init 3 (fun _ -> Adm.open_session srv) in
-  let stmts = [ Parser.parse "SELECT COUNT(*) AS n FROM kv" ] in
-  for k = 0 to 9 do
-    Des.at sim (float_of_int k *. 50.0) (fun () ->
-        List.iter (fun s -> ignore (Adm.submit s stmts)) sessions)
-  done;
-  Des.run sim ~until:Float.infinity;
-  let w = Adm.current_window_ms srv in
-  Alcotest.(check bool)
-    (Printf.sprintf "window grew under coalesced sharing (%.3f)" w)
-    true
-    (w > 2.0 && w <= 20.0)
-
-let test_window_shrinks_when_alone () =
-  let sim = Des.create () in
-  let db = setup seed_kv in
-  let srv = Adm.create ~sim ~db ~window_ms:8.0 ~window_bounds:(1.0, 16.0) () in
-  let ses = Adm.open_session srv in
-  for k = 0 to 9 do
-    Des.at sim (float_of_int k *. 50.0) (fun () ->
-        ignore
-          (Adm.submit ses
-             [
-               Parser.parse
-                 (Printf.sprintf "SELECT val FROM kv WHERE id = %d" (k + 1));
-             ]))
-  done;
-  Des.run sim ~until:Float.infinity;
-  let w = Adm.current_window_ms srv in
-  Alcotest.(check bool)
-    (Printf.sprintf "window shrank to the floor (%.3f)" w)
-    true
-    (w >= 1.0 && w < 2.0);
-  let st = Adm.stats srv in
-  Alcotest.(check (float 1e-9)) "stats expose the live window" w st.Adm.window_ms
-
 (* --- differential fuzz ----------------------------------------------------- *)
 
 (* A schedule is a list of steps over the seeded kv table: read flushes
    (1-4 statements drawn from a parameterized pool) interleaved with
-   writes.  The oracle arm executes on a plain database; the subject arm
-   enables MQO and a deliberately tiny cache (capacity 4, so eviction and
-   reuse both happen).  Every result set and the final fingerprint must
-   match. *)
+   writes.  The oracle arm executes every statement on its own; the
+   subject arm runs each flush through the shared read path with a
+   deliberately tiny cache (capacity 4, so eviction and reuse both happen).
+   Every result set and the final fingerprint must match. *)
 
 type fuzz_step = F_reads of string list | F_write of string
 
@@ -453,6 +413,7 @@ let drive ~reads ~write steps =
     steps
 
 let db_reads db sqls = List.map (fun (o, _) -> o.Db.rs) (Db.exec_reads db (parse_selects sqls))
+let solo_reads db sqls = List.map (fun sql -> (Db.exec_sql db sql).Db.rs) sqls
 let db_write db sql = ignore (Db.exec_sql db sql)
 
 let flushes_equal eq a b =
@@ -466,10 +427,9 @@ let prop_mqo_cache_differential =
     (fun steps ->
       let oracle = setup seed_join in
       let subject = setup seed_join in
-      Db.set_mqo subject true;
       Db.set_result_cache subject (Some 4);
       let a =
-        drive ~reads:(db_reads oracle) ~write:(db_write oracle) steps
+        drive ~reads:(solo_reads oracle) ~write:(db_write oracle) steps
       in
       let b =
         drive ~reads:(db_reads subject) ~write:(db_write subject) steps
@@ -490,23 +450,20 @@ let prop_mqo_cache_crash_restart =
         Db.enable_durability ~checkpoint_every:3 ~wal:(Wal.mem ())
           ~checkpoint:(Wal.mem ()) db;
         seed_join db;
-        if cache then begin
-          Db.set_mqo db true;
-          Db.set_result_cache db (Some 4)
-        end;
+        if cache then Db.set_result_cache db (Some 4);
         db
       in
       let oracle = mk false in
       let subject = mk true in
-      let run db steps =
-        drive ~reads:(db_reads db) ~write:(db_write db) steps
+      let run reads db steps =
+        drive ~reads:(reads db) ~write:(db_write db) steps
       in
-      let a1 = run oracle before in
-      let b1 = run subject before in
+      let a1 = run solo_reads oracle before in
+      let b1 = run db_reads subject before in
       Db.crash_restart oracle;
       Db.crash_restart subject;
-      let a2 = run oracle after in
-      let b2 = run subject after in
+      let a2 = run solo_reads oracle after in
+      let b2 = run db_reads subject after in
       flushes_equal rs_equal a1 b1
       && flushes_equal rs_equal a2 b2
       && (Db.read_stats subject).Db.cache_entries >= 0
@@ -547,9 +504,8 @@ let prop_mqo_cache_sharded =
         done
       in
       seed_sharded sh;
-      Shard.set_mqo sh true;
       Shard.set_result_cache sh (Some 4);
-      let a = drive ~reads:(db_reads oracle) ~write:(db_write oracle) steps in
+      let a = drive ~reads:(solo_reads oracle) ~write:(db_write oracle) steps in
       let b =
         drive
           ~reads:(fun sqls ->
@@ -581,6 +537,8 @@ let () =
         ] );
       ( "database wiring",
         [
+          Alcotest.test_case "fuses probes by default" `Quick
+            test_db_fuses_probes_by_default;
           Alcotest.test_case "hit and invalidate" `Quick
             test_db_cache_hit_and_invalidate;
           Alcotest.test_case "LRU through the API" `Quick
@@ -591,15 +549,6 @@ let () =
             test_db_cache_cleared_on_crash_restart;
           Alcotest.test_case "cleared on snapshot install" `Quick
             test_db_cache_cleared_on_snapshot_install;
-        ] );
-      ( "adaptive window",
-        [
-          Alcotest.test_case "bounds validation" `Quick
-            test_window_bounds_validation;
-          Alcotest.test_case "grows under sharing" `Quick
-            test_window_grows_under_sharing;
-          Alcotest.test_case "shrinks when alone" `Quick
-            test_window_shrinks_when_alone;
         ] );
       ( "differential fuzz",
         List.map QCheck_alcotest.to_alcotest

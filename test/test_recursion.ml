@@ -1,5 +1,5 @@
 (* Recursive CTEs: semi-naive fixpoint semantics, the iteration cap, the
-   cost-model terms behind fixpoint and fused-probe pricing, and a
+   cost-model term behind fixpoint pricing, and a
    differential fuzz of the executor's Fixpoint operator against a naive
    OCaml transitive-closure oracle over random edge sets. *)
 
@@ -138,47 +138,6 @@ let test_leg_arity_mismatch () =
 
 (* --- cost-model terms ----------------------------------------------------- *)
 
-let test_fused_probe_pricing () =
-  let m = Cost.default in
-  let feq = Alcotest.(check (float 1e-9)) in
-  (* One probe is exactly an index access — solo plans price identically,
-     which is what keeps BENCH_planner.json stable. *)
-  feq "probes=1 is index_ms"
-    (Cost.index_ms m ~est_rows:8.0)
-    (Cost.fused_probe_ms m ~probes:1.0 ~est_rows:8.0);
-  (* Each extra sharer costs half a probe on top. *)
-  feq "3 probes"
-    (m.Cost.probe_ms *. 2.0 +. (m.Cost.scan_row_ms *. 8.0))
-    (Cost.fused_probe_ms m ~probes:3.0 ~est_rows:8.0);
-  (* The per-statement share shrinks as sharers join the pass. *)
-  let share n =
-    Cost.fused_probe_ms m ~probes:(float_of_int n) ~est_rows:8.0
-    /. float_of_int n
-  in
-  Alcotest.(check bool) "sharing is monotone" true (share 4 < share 2);
-  Alcotest.(check bool) "sharing beats solo" true (share 2 < share 1)
-
-let test_probe_sharers_estimate () =
-  (* eq_est through the planner: ?probe_sharers prices this statement's
-     share of a fused pass; sharers=1 must reproduce the default. *)
-  let cat = edge_catalog ~indexed:true (List.init 8 (fun i -> (1, i + 2))) in
-  let find n = Option.get (cat.Executor.find_table n) in
-  let s =
-    match
-      Sloth_sql.Parser.parse "SELECT object_id FROM edge WHERE subject_id = 1"
-    with
-    | Sloth_sql.Ast.Select s -> s
-    | _ -> assert false
-  in
-  let est sharers =
-    (Planner.plan ~probe_sharers:sharers ~find ~model:Cost.default s)
-      .Plan.p_est.Plan.est_ms
-  in
-  Alcotest.(check (float 1e-9)) "sharers=1 is the default" (est 1)
-    (Planner.plan ~find ~model:Cost.default s).Plan.p_est.Plan.est_ms;
-  Alcotest.(check bool) "sharers=4 cheaper than solo" true (est 4 < est 1);
-  Alcotest.(check bool) "sharers=8 cheaper than 4" true (est 8 < est 4)
-
 let test_fixpoint_ms () =
   let m = Cost.default in
   Alcotest.(check (float 1e-9))
@@ -301,10 +260,6 @@ let () =
         ] );
       ( "cost",
         [
-          Alcotest.test_case "fused probe pricing" `Quick
-            test_fused_probe_pricing;
-          Alcotest.test_case "probe sharers estimate" `Quick
-            test_probe_sharers_estimate;
           Alcotest.test_case "fixpoint term" `Quick test_fixpoint_ms;
         ] );
       ( "properties",

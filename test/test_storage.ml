@@ -679,30 +679,29 @@ let test_exec_batch_write_barrier () =
         (Result_set.scalar after.rs = Some (v_int 6))
   | _ -> Alcotest.fail "expected three outcomes"
 
-(* With the planner disabled the batch path degenerates to independent
-   execution — the differential oracle — and must return the same rows at a
-   higher (unshared) cost. *)
+(* Independent per-statement execution is the differential oracle for the
+   batch path: the same rows, at a higher (unshared) cost. *)
 let test_exec_batch_no_planner_oracle () =
-  let run db =
+  let view outs =
     List.map
       (fun (o : Database.outcome) ->
         ( Result_set.columns o.rs,
           List.map Array.to_list (Result_set.rows o.rs),
           o.cost_ms ))
-      (Database.exec_batch db
-         (List.map Sloth_sql.Parser.parse
-            [
-              "SELECT COUNT(*) AS n FROM users WHERE name = 'user1'";
-              "SELECT COUNT(*) AS n FROM users WHERE name = 'user2'";
-              "SELECT COUNT(*) AS n FROM users WHERE 'user1' = name";
-            ]))
+      outs
+  in
+  let stmts =
+    List.map Sloth_sql.Parser.parse
+      [
+        "SELECT COUNT(*) AS n FROM users WHERE name = 'user1'";
+        "SELECT COUNT(*) AS n FROM users WHERE name = 'user2'";
+        "SELECT COUNT(*) AS n FROM users WHERE 'user1' = name";
+      ]
   in
   let db = make_db () in
   seed_users db 30;
-  let planned = run db in
-  Database.set_planner db false;
-  Alcotest.(check bool) "planner off" false (Database.planner_enabled db);
-  let oracle = run db in
+  let planned = view (Database.exec_batch db stmts) in
+  let oracle = view (List.map (Database.exec db) stmts) in
   Alcotest.(check bool) "same result sets" true
     (List.equal ( = )
        (List.map (fun (c, r, _) -> (c, r)) planned)
