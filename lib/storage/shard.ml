@@ -137,9 +137,9 @@ let set_fault t f = t.fault <- f
 let set_result_cache t cap =
   Array.iter (fun db -> Database.set_result_cache db cap) t.dbs
 
-(* Summed across shards: single-shard and pinned reads run on shard 0;
-   gathers probe every shard's cache through the per-table [SELECT *]
-   fetches. *)
+(* Summed across shards: a routed read counts on its key's shard, a pinned
+   read on shard 0, a scattered read on every shard; gathers probe every
+   shard's cache through their per-table fetches. *)
 let read_stats t =
   Array.fold_left
     (fun (acc : Database.read_stats) db ->
@@ -247,27 +247,29 @@ let insert_shard t ~table ~columns row =
    then has that key, so it can only live on the owning shard.  Anything
    else (OR at the top, range predicates, no PK equality) broadcasts — the
    shards partition the rows, so running the statement everywhere is always
-   correct, just wider. *)
-let rec pk_eq_value ~table ~pk = function
+   correct, just wider.  The key column may be qualified by the table name
+   or by the statement's [alias] for it. *)
+let rec pk_eq_value ~table ?alias ~pk = function
   | Ast.Binop (Ast.And, a, b) -> (
-      match pk_eq_value ~table ~pk a with
+      match pk_eq_value ~table ?alias ~pk a with
       | Some v -> Some v
-      | None -> pk_eq_value ~table ~pk b)
+      | None -> pk_eq_value ~table ?alias ~pk b)
   | Ast.Binop (Ast.Eq, Ast.Col (q, c), e)
   | Ast.Binop (Ast.Eq, e, Ast.Col (q, c)) -> (
       match e with
-      | _ when c = pk && (q = None || q = Some table) -> const_value e
+      | _ when c = pk && (q = None || q = Some table || q = alias) ->
+          const_value e
       | _ -> None)
   | _ -> None
 
-let route_by_pk t table where =
+let route_by_pk ?alias t table where =
   match pk_of t table with
   | None -> Some 0 (* pinned (or unknown: shard 0 raises the real error) *)
   | Some pk -> (
       match where with
       | None -> None
       | Some w -> (
-          match pk_eq_value ~table ~pk w with
+          match pk_eq_value ~table ?alias ~pk w with
           | Some v -> Some (home t (Value.to_string v))
           | None -> None))
 
@@ -746,20 +748,6 @@ let gather_preds selects =
     | Some { contents = Some ds } -> or_chain ds
     | _ -> None
 
-(* Cross-shard read path: gather every referenced table (one fetch per
-   table per shard, through the shard's normal read path so scan work is
-   costed), load the union into a scratch engine, and run the original
-   statements there — joins, aggregates, subqueries and recursive CTEs then
-   just work.  The gather cost and scan count are folded into the first
-   statement's outcome.  Each fetch carries the weakest WHERE restriction
-   every statement of the flush allows for that table — the OR across
-   statements of their pushable literal-only conjuncts — so shards ship
-   fewer rows; a statement with no pushable restriction for a table forces
-   that table to ship whole, so results equal those of shipping every
-   table whole.  Row order within a
-   table is shard-concatenation order, so a cross-shard-count comparison of
-   result sets must be order-insensitive unless the query orders
-   explicitly. *)
 let serving_db t s =
   match t.repl with
   | None -> t.dbs.(s)
@@ -780,67 +768,209 @@ let serving_db t s =
           rdb
       | None -> t.dbs.(s))
 
+(* Cross-shard fallback: gather every referenced table (one fetch per
+   table per shard, through the shard's normal read path so scan work is
+   costed), load the union into a scratch engine, and run the statements
+   there — joins, grouping, subqueries and recursive CTEs then just work.
+   The gather cost and scan count are folded into the first statement's
+   outcome.  Each fetch carries the weakest WHERE restriction every
+   gathered statement allows for that table — the OR across statements of
+   their pushable literal-only conjuncts — so shards ship fewer rows; a
+   statement with no pushable restriction for a table forces that table to
+   ship whole, so results equal those of shipping every table whole.  Row
+   order within a table is shard-concatenation order, so a
+   cross-shard-count comparison of result sets must be order-insensitive
+   unless the query orders explicitly. *)
+let gather t selects =
+  t.ctr.c_gathers <- t.ctr.c_gathers + 1;
+  let tables = List.fold_left select_tables [] selects in
+  let known = List.filter (fun n -> schema_of t n <> None) tables in
+  let scratch = Database.create ~cost:(Database.cost_model t.dbs.(0)) () in
+  (* The scratch engine is per-gather, so there is nothing for a result
+     cache to carry across flushes (a dead gather's rows can never be
+     served). *)
+  List.iter
+    (fun name ->
+      match Database.table t.dbs.(0) name with
+      | None -> ()
+      | Some tbl ->
+          Database.create_table scratch (Table.schema tbl);
+          List.iter
+            (fun c -> Database.create_index scratch ~table:name ~column:c)
+            (Table.secondary_columns tbl);
+          List.iter
+            (fun c ->
+              Database.create_ordered_index scratch ~table:name ~column:c)
+            (Table.ordered_columns tbl))
+    known;
+  let pushed = gather_preds selects in
+  let fetches =
+    List.map
+      (fun name -> { (plain_select name) with Ast.sel_where = pushed name })
+      known
+  in
+  let gather_cost = ref 0.0 and gather_scanned = ref 0 in
+  Array.iteri
+    (fun s _ ->
+      let db = serving_db t s in
+      if known <> [] then
+        List.iter2
+          (fun name ((o : Database.outcome), scanned) ->
+            gather_cost := !gather_cost +. o.cost_ms;
+            gather_scanned := !gather_scanned + scanned;
+            match Database.table scratch name with
+            | None -> ()
+            | Some stbl ->
+                List.iter
+                  (fun row -> ignore (Table.insert stbl row : Table.rid))
+                  (Result_set.rows o.rs))
+          known
+          (Database.exec_reads db fetches))
+    t.dbs;
+  List.mapi
+    (fun i ((o : Database.outcome), scanned) ->
+      if i = 0 then
+        ( { o with cost_ms = o.cost_ms +. !gather_cost },
+          scanned + !gather_scanned )
+      else (o, scanned))
+    (Database.exec_reads scratch selects)
+
+(* --- read routing --------------------------------------------------------- *)
+
+(* Where one SELECT of a read flush runs.  [On k]: every row it can see
+   lives on shard [k].  [Scatter_rows]: a plain filter over one sharded
+   table, run on every shard, rows concatenated in shard order.
+   [Scatter_aggs]: the same shape with only ungrouped COUNT/SUM/MIN/MAX
+   items, one partial row per shard. *)
+type read_plan = On of int | Scatter_rows | Scatter_aggs of Ast.agg list | Gather
+
+let rec has_agg = function
+  | Ast.Agg _ -> true
+  | Ast.Lit _ | Ast.Col _ -> false
+  | Ast.Binop (_, a, b) -> has_agg a || has_agg b
+  | Ast.Unop (_, e) | Ast.Is_null { e; _ } | Ast.Like (e, _) -> has_agg e
+  | Ast.In_select (e, _) -> has_agg e
+  | Ast.In_list (e, es) -> List.exists has_agg (e :: es)
+  | Ast.Between { e; lo; hi } -> List.exists has_agg [ e; lo; hi ]
+
+let read_plan t (s : Ast.select) =
+  let pinned n = schema_of t n <> None && pk_of t n = None in
+  let partial = function
+    | Ast.Sel_expr (Ast.Agg (((Count | Sum | Min | Max) as a), _), _) -> Some a
+    | _ -> None
+  in
+  if List.for_all pinned (select_tables [] s) then On 0
+  else
+    (* a statement that is its own only unit has no CTE and no subquery: a
+       shard-local subquery would see only that shard's rows *)
+    match (s.sel_from, s.sel_joins, push_units [] ~shadow:None s) with
+    | Some (table, alias), [], [ _ ] when pk_of t table <> None -> (
+        match route_by_pk ?alias t table s.sel_where with
+        | Some k -> On k
+        | None ->
+            let aggs = List.filter_map partial s.sel_items in
+            if
+              s.sel_group_by <> [] || s.sel_having <> None || s.sel_distinct
+              || s.sel_order_by <> [] || s.sel_limit <> None
+              || s.sel_offset <> None
+            then Gather
+            else if aggs <> [] && List.length aggs = List.length s.sel_items
+            then Scatter_aggs aggs
+            else if
+              List.exists
+                (function Ast.Star -> false | Ast.Sel_expr (e, _) -> has_agg e)
+                s.sel_items
+            then Gather
+            else Scatter_rows)
+    | _ -> Gather
+
+(* Fold one more shard's partial aggregate into the running one: NULL (no
+   qualifying row on that shard) is the identity. *)
+let combine_partial agg a b =
+  match (agg, a, b) with
+  | _, Value.Null, v | _, v, Value.Null -> v
+  | (Ast.Count | Sum), Value.Int x, Value.Int y -> Value.Int (x + y)
+  | Ast.Min, _, _ -> if Value.compare b a < 0 then b else a
+  | Ast.Max, _, _ -> if Value.compare b a > 0 then b else a
+  | _ -> (
+      match (Value.to_float a, Value.to_float b) with
+      | Some x, Some y -> Value.Float (x +. y)
+      | _ -> error "SUM over non-numeric values")
+
+(* Merge a scattered statement's per-shard outcomes, in shard order.  Cost
+   and rows scanned are the sums over shards, as for a gather. *)
+let merge_scatter plan parts =
+  let rss = List.map (fun ((o : Database.outcome), _) -> o.rs) parts in
+  let rows =
+    match plan with
+    | Scatter_aggs aggs ->
+        let partials = List.map (fun rs -> List.hd (Result_set.rows rs)) rss in
+        [
+          Array.of_list
+            (List.mapi
+               (fun i agg ->
+                 List.fold_left
+                   (fun acc row -> combine_partial agg acc row.(i))
+                   Value.Null partials)
+               aggs);
+        ]
+    | _ -> List.concat_map Result_set.rows rss
+  in
+  ( {
+      Database.rs =
+        Result_set.create ~columns:(Result_set.columns (List.hd rss)) rows;
+      rows_affected = 0;
+      cost_ms =
+        List.fold_left
+          (fun a ((o : Database.outcome), _) -> a +. o.cost_ms)
+          0.0 parts;
+    },
+    List.fold_left (fun a (_, n) -> a + n) 0 parts )
+
+(* A flush runs in at most N + 1 engine calls: one per shard over the
+   statements routed to it plus every scattered statement (in input order,
+   so MQO still shares work within the shard and the shard's serving copy
+   is chosen once), and one gather over what is left.  Outcomes come back
+   in input order. *)
 let exec_reads t selects =
   if Array.length t.dbs = 1 then Database.exec_reads (serving_db t 0) selects
   else
-    let tables = List.fold_left select_tables [] selects in
-    let known = List.filter (fun n -> schema_of t n <> None) tables in
-    let pinned_only =
-      List.for_all (fun n -> pk_of t n = None) known && known = tables
+    let plans = List.combine (List.map (read_plan t) selects) selects in
+    let queue mine run =
+      ref (match List.filter_map mine plans with [] -> [] | sels -> run sels)
     in
-    if pinned_only then Database.exec_reads (serving_db t 0) selects
-    else begin
-      t.ctr.c_gathers <- t.ctr.c_gathers + 1;
-      let scratch = Database.create ~cost:(Database.cost_model t.dbs.(0)) () in
-      (* The scratch engine is per-gather, so there is nothing for a result
-         cache to carry across flushes (a dead gather's rows can never be
-         served). *)
-      List.iter
-        (fun name ->
-          match Database.table t.dbs.(0) name with
-          | None -> ()
-          | Some tbl ->
-              Database.create_table scratch (Table.schema tbl);
-              List.iter
-                (fun c -> Database.create_index scratch ~table:name ~column:c)
-                (Table.secondary_columns tbl);
-              List.iter
-                (fun c ->
-                  Database.create_ordered_index scratch ~table:name ~column:c)
-                (Table.ordered_columns tbl))
-        known;
-      let pushed = gather_preds selects in
-      let fetches =
-        List.map
-          (fun name -> { (plain_select name) with Ast.sel_where = pushed name })
-          known
-      in
-      let gather_cost = ref 0.0 and gather_scanned = ref 0 in
-      Array.iteri
-        (fun s _ ->
-          let db = serving_db t s in
-          if known <> [] then
-            List.iter2
-              (fun name ((o : Database.outcome), scanned) ->
-                gather_cost := !gather_cost +. o.cost_ms;
-                gather_scanned := !gather_scanned + scanned;
-                match Database.table scratch name with
-                | None -> ()
-                | Some stbl ->
-                    List.iter
-                      (fun row -> ignore (Table.insert stbl row : Table.rid))
-                      (Result_set.rows o.rs))
-              known
-              (Database.exec_reads db fetches))
-        t.dbs;
-      List.mapi
-        (fun i ((o : Database.outcome), scanned) ->
-          if i = 0 then
-            ( { o with cost_ms = o.cost_ms +. !gather_cost },
-              scanned + !gather_scanned )
-          else (o, scanned))
-        (Database.exec_reads scratch selects)
-    end
+    let per_shard =
+      Array.mapi
+        (fun k _ ->
+          queue
+            (function
+              | On j, s when j = k -> Some s
+              | (Scatter_rows | Scatter_aggs _), s -> Some s
+              | _ -> None)
+            (fun sels -> Database.exec_reads (serving_db t k) sels))
+        t.dbs
+    in
+    let gathered =
+      queue (function Gather, s -> Some s | _ -> None) (gather t)
+    in
+    let pop q =
+      match !q with
+      | o :: rest ->
+          q := rest;
+          o
+      | [] ->
+          Database.invariant_violation
+            "Shard.exec_reads: an engine returned too few outcomes (%d \
+             statements, %d shards)"
+            (List.length selects) (Array.length t.dbs)
+    in
+    List.map
+      (function
+        | On k, _ -> pop per_shard.(k)
+        | Gather, _ -> pop gathered
+        | plan, _ ->
+            merge_scatter plan (Array.to_list (Array.map pop per_shard)))
+      plans
 
 (* --- statement execution ------------------------------------------------- *)
 

@@ -20,14 +20,11 @@
     {!Database}.
 
     Known restrictions: an UPDATE may not modify a sharded table's primary
-    key (the row would have to migrate between shards), and cross-shard
-    reads gather the referenced tables into a scratch engine, so their row
-    order is shard-concatenation order — equal to the unsharded engine's
-    only as a multiset unless the query sorts.  Each per-shard per-table
-    gather fetch carries the weakest restriction every statement of the
-    flush allows for that table: the OR across statements of their
-    literal-only conjuncts on that table's columns.  A statement with no
-    such restriction ships the table whole. *)
+    key (the row would have to migrate between shards), and a read that
+    spans shards returns its rows in shard-concatenation order — equal to
+    the unsharded engine's only as a multiset unless the query sorts.
+    {!exec_reads} describes how each SELECT is routed, scattered or
+    gathered. *)
 
 type t
 
@@ -35,7 +32,10 @@ type stats = {
   two_pc_commits : int;  (** distributed commits that ran full 2PC *)
   one_pc_commits : int;  (** single-participant fast-path commits *)
   dtxn_aborts : int;  (** distributed transactions rolled back *)
-  gathered_reads : int;  (** read flushes that took the gather path *)
+  gathered_reads : int;
+      (** read flushes with at least one statement on the gather path (one
+          scratch engine each); routed and scattered statements never
+          count *)
   fanout_writes : int;  (** writes broadcast to every shard (no PK route) *)
   decisions : int;  (** COMMIT records in the coordinator's decision log *)
   replica_read_fetches : int;
@@ -111,16 +111,29 @@ val exec : t -> Sloth_sql.Ast.stmt -> Database.outcome
 
 val exec_batch : t -> Sloth_sql.Ast.stmt list -> Database.outcome list
 (** Mirror of {!Database.exec_batch}: maximal runs of consecutive SELECTs
-    execute together (through the gather path when they touch sharded
-    tables), writes act as barriers. *)
+    execute together through {!exec_reads}, writes act as barriers. *)
 
 val exec_reads :
   t -> Sloth_sql.Ast.select list -> (Database.outcome * int) list
-(** Mirror of {!Database.exec_reads}.  Reads touching only pinned tables
-    run on shard 0 directly; anything else gathers every referenced table
-    (deduplicated across the whole group) from all shards into a scratch
-    engine and runs the statements there, folding the gather's cost and
-    scan count into the first statement's outcome. *)
+(** Mirror of {!Database.exec_reads}.  Each SELECT is classified first:
+    - {e routed}: it reads pinned tables only (shard 0), or it reads one
+      sharded table with no join, CTE or IN-subquery and its WHERE pins the
+      primary key (the key's shard; the key may be qualified by the table
+      name or its alias);
+    - {e scattered}: the same single-table shape without a key pin and
+      without GROUP BY, HAVING, DISTINCT, ORDER BY, LIMIT or OFFSET, whose
+      items either all are COUNT/SUM/MIN/MAX (per-shard partial rows are
+      combined, NULL being the identity) or contain no aggregate (rows are
+      concatenated in shard order);
+    - {e gathered}: everything else.
+    Each shard runs its routed statements plus every scattered statement as
+    one {!Database.exec_reads} call; a scattered statement's cost and rows
+    scanned are the sums over shards.  The gathered statements fetch the
+    tables they reference from all shards into a scratch engine and run
+    there, the gather's cost and scan count folded into the first one's
+    outcome; each fetch carries the OR across gathered statements of their
+    literal-only conjuncts on that table (a statement with none ships the
+    table whole).  Outcomes come back in input order. *)
 
 val atomically : ?token:string -> t -> (unit -> 'a) -> 'a
 (** Mirror of {!Database.atomically}: run [f] inside a distributed

@@ -355,6 +355,19 @@ let read_pool =
         "SELECT COUNT(*) AS n FROM kv JOIN grp_tab ON kv.grp = grp_tab.id \
          WHERE grp_tab.id = %d"
         (n mod 5));
+    (* grp 5 never has rows: COUNT 0 and NULL partials everywhere *)
+    (fun n ->
+      Printf.sprintf
+        "SELECT COUNT(*) AS n, SUM(id) AS s, MIN(val) AS lo, MAX(id) AS hi \
+         FROM kv WHERE grp = %d"
+        (n mod 6));
+    (fun n ->
+      Printf.sprintf
+        "SELECT COUNT(*) AS n FROM kv WHERE grp IN (SELECT grp FROM kv WHERE \
+         id = %d)"
+        ((n mod 30) + 1));
+    (fun n ->
+      Printf.sprintf "SELECT k.val FROM kv k WHERE k.id = %d" ((n mod 30) + 1));
   ]
 
 let write_pool =
@@ -469,10 +482,11 @@ let prop_mqo_cache_crash_restart =
       && (Db.read_stats subject).Db.cache_entries >= 0
       && String.equal (Db.fingerprint oracle) (Db.fingerprint subject))
 
-(* Sharded arm: gathers concatenate in shard order, so rows are compared
-   as sorted multisets (the documented contract for unsorted queries). *)
+(* Sharded arm: scatters and gathers concatenate in shard order, so rows
+   are compared as sorted multisets (the documented contract for unsorted
+   queries). *)
 let prop_mqo_cache_sharded =
-  QCheck.Test.make ~count:40
+  QCheck.Test.make ~count:200
     ~name:"sharded cache+MQO arm matches the unsharded oracle"
     (QCheck.make gen_schedule ~print:print_schedule)
     (fun steps ->

@@ -156,6 +156,114 @@ let test_gather_pushdown () =
     (Printf.sprintf "pushdown scans %d of the table's %d rows" scanned rows)
     true (scanned < rows)
 
+(* --- the read router ------------------------------------------------------ *)
+
+(* A 3-shard router and its unsharded twin over [g]: 30 rows, an indexed
+   non-key [grp] column with several rows per value. *)
+let grp_pair () =
+  let ddl =
+    "CREATE TABLE g (id INT NOT NULL, grp INT NOT NULL, v TEXT NOT NULL, n \
+     INT NOT NULL, PRIMARY KEY (id))"
+  in
+  let rows =
+    List.init 30 (fun i ->
+        let id = i + 1 in
+        Printf.sprintf
+          "INSERT INTO g (id, grp, v, n) VALUES (%d, %d, 'r%02d', %d)" id
+          (id mod 4) id (id * 3))
+  in
+  let sh = Shard.create ~shards:3 () and db = Db.create () in
+  List.iter (fun sql -> ignore (Shard.exec_sql sh sql)) (ddl :: rows);
+  List.iter (fun sql -> ignore (Db.exec_sql db sql)) (ddl :: rows);
+  Shard.create_index sh ~table:"g" ~column:"grp";
+  Db.create_index db ~table:"g" ~column:"grp";
+  (sh, db)
+
+let selects =
+  List.map (fun sql ->
+      match parse sql with Sloth_sql.Ast.Select s -> s | _ -> assert false)
+
+let gathers sh = (Shard.stats sh).Shard.gathered_reads
+
+(* Run one flush on both sides; return the gather-counter delta and whether
+   every outcome matches the twin's in input order ([sorted]: as row
+   multisets, for statements whose row order is shard-dependent). *)
+let flush_vs_twin ?(sorted = false) (sh, db) sqls =
+  let before = gathers sh in
+  let got = Shard.exec_reads sh (selects sqls) in
+  let want = Db.exec_reads db (selects sqls) in
+  let rows rs = if sorted then List.sort compare (Rs.rows rs) else Rs.rows rs in
+  ( gathers sh - before,
+    List.for_all2
+      (fun ((a : Db.outcome), _) ((b : Db.outcome), _) ->
+        Rs.columns a.rs = Rs.columns b.rs && rows a.rs = rows b.rs)
+      got want )
+
+let test_router_routes_and_scatters () =
+  let pair = grp_pair () in
+  let home id =
+    Wal.checksum (Sloth_storage.Value.to_string (Sloth_storage.Value.Int id))
+    mod 3
+  in
+  let b =
+    List.find (fun id -> home id <> home 1) (List.init 29 (fun i -> i + 2))
+  in
+  let delta, same =
+    flush_vs_twin pair
+      [
+        "SELECT * FROM g WHERE id = 1";
+        "SELECT COUNT(*) AS c, SUM(n) AS s, MIN(v) AS lo, MAX(v) AS hi FROM g \
+         WHERE grp = 2";
+        Printf.sprintf "SELECT v, n FROM g WHERE id = %d" b;
+      ]
+  in
+  Alcotest.(check int) "point reads and the aggregate do not gather" 0 delta;
+  Alcotest.(check bool) "outcomes equal the twin's in input order" true same;
+  let delta, same =
+    flush_vs_twin ~sorted:true pair [ "SELECT id, v FROM g WHERE grp = 1" ]
+  in
+  Alcotest.(check int) "a plain filter scatters" 0 delta;
+  Alcotest.(check bool) "its rows are the twin's" true same
+
+let test_router_empty_aggregate () =
+  let ((sh, _) as pair) = grp_pair () in
+  let sql =
+    "SELECT COUNT(*) AS c, SUM(n) AS s, MIN(v) AS lo, MAX(v) AS hi FROM g \
+     WHERE grp = 99"
+  in
+  let delta, same = flush_vs_twin pair [ sql ] in
+  Alcotest.(check int) "scattered, not gathered" 0 delta;
+  Alcotest.(check bool) "equals the twin" true same;
+  Alcotest.(check bool)
+    "COUNT 0, NULL for SUM/MIN/MAX" true
+    (Rs.rows (Shard.query sh sql)
+    = Sloth_storage.Value.[ [| Int 0; Null; Null; Null |] ])
+
+let test_router_gathers_the_rest () =
+  let pair = grp_pair () in
+  List.iter
+    (fun sql ->
+      let delta, same = flush_vs_twin ~sorted:true pair [ sql ] in
+      Alcotest.(check int) (sql ^ " gathers") 1 delta;
+      Alcotest.(check bool) (sql ^ " matches the twin") true same)
+    [
+      "SELECT COUNT(*) AS c FROM g WHERE grp IN (SELECT grp FROM g WHERE id = \
+       5)";
+      "SELECT grp, COUNT(*) AS c FROM g GROUP BY grp";
+      "SELECT id FROM g WHERE grp = 2 ORDER BY id LIMIT 3";
+      "SELECT AVG(n) AS a FROM g WHERE grp = 1";
+      "SELECT a.v FROM g a JOIN g b ON a.id = b.id WHERE b.grp = 3";
+    ]
+
+let test_router_aliased_point_read () =
+  let sh = deployment 3 and db = unsharded_twin () in
+  let q = "SELECT k.v FROM kv k WHERE k.id = 7" in
+  let before = gathers sh in
+  let got = Shard.query sh q in
+  Alcotest.(check int) "aliased point read routes" before (gathers sh);
+  Alcotest.(check bool) "and matches the twin" true
+    (Rs.rows got = Rs.rows (Db.query db q))
+
 let test_logical_fingerprint_across_counts () =
   let fp n =
     let sh = deployment n in
@@ -425,6 +533,17 @@ let () =
             test_logical_fingerprint_across_counts;
           Alcotest.test_case "pk update rejected" `Quick
             test_pk_update_rejected;
+        ] );
+      ( "read router",
+        [
+          Alcotest.test_case "routes and scatters" `Quick
+            test_router_routes_and_scatters;
+          Alcotest.test_case "empty aggregate" `Quick
+            test_router_empty_aggregate;
+          Alcotest.test_case "gathers the rest" `Quick
+            test_router_gathers_the_rest;
+          Alcotest.test_case "aliased point read" `Quick
+            test_router_aliased_point_read;
         ] );
       ( "transactions",
         [
