@@ -121,10 +121,11 @@ let experiments =
     ("chaos", Chaos.chaos);
     ("recovery", fun () -> Recovery.recovery ~json:"BENCH_recovery.json" ());
     ("failover", fun () -> Failover.failover ~json:"BENCH_failover.json" ());
-    ("sharding", fun () -> Sharding.sharding ~json:"BENCH_sharding.json" ());
+    ( "sharding",
+      fun () -> Sharding.sharding ~replicas:0 ~json:"BENCH_sharding.json" () );
     ( "repl-shard",
       fun () ->
-        Repl_sharding.repl_sharding ~json:"BENCH_repl_sharding.json" () );
+        Sharding.sharding ~replicas:2 ~json:"BENCH_repl_sharding.json" () );
     ( "throughput",
       fun () -> Throughput.served ~json:"BENCH_throughput.json" () );
     ("planner", fun () -> Planner_bench.planner ~json:"BENCH_planner.json" ());

@@ -428,8 +428,8 @@ let exp_cmd =
       ("chaos", Sloth_harness.Chaos.chaos);
       ("recovery", fun () -> Sloth_harness.Recovery.recovery ());
       ("failover", fun () -> Sloth_harness.Failover.failover ());
-      ("sharding", fun () -> Sloth_harness.Sharding.sharding ());
-      ("repl-shard", fun () -> Sloth_harness.Repl_sharding.repl_sharding ());
+      ("sharding", fun () -> Sloth_harness.Sharding.sharding ~replicas:0 ());
+      ("repl-shard", fun () -> Sloth_harness.Sharding.sharding ~replicas:2 ());
       ("throughput", fun () -> Sloth_harness.Throughput.served ());
       ("mqo", fun () -> Sloth_harness.Mqo_bench.mqo ());
       ("graph", fun () -> Sloth_harness.Graph_bench.graph ());

@@ -1,238 +1,26 @@
 module Db = Sloth_storage.Database
-module Rs = Sloth_storage.Result_set
-module Wal = Sloth_storage.Wal
 module Repl = Sloth_storage.Replication
 module Des = Sloth_net.Des
 module Fault = Sloth_net.Fault
 module Adm = Sloth_server.Admission
-module Ast = Sloth_sql.Ast
 
 (* --- workload ------------------------------------------------------------- *)
 
-let seed_sql =
-  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
-   PRIMARY KEY (id))"
-  :: List.init 20 (fun i ->
-         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
-           (i + 1) (i + 1)
-           ((i + 1) * 10))
+let seed_rows = 20
 
-let parse sql =
-  match Sloth_sql.Parser.parse sql with
-  | stmt -> stmt
-  | exception Sloth_sql.Parser.Error msg ->
-      failwith ("failover workload: " ^ msg)
-
-let seed_db db = List.iter (fun sql -> ignore (Db.exec_sql db sql)) seed_sql
-
-let durable_db ~checkpoint_every () =
-  let db = Db.create () in
-  Db.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
-    ~checkpoint:(Wal.mem ()) db;
-  seed_db db;
-  db
-
-(* Closed-loop schedules: a session submits its next batch only after the
-   previous reply resolved, so per-session program order is strict — which
-   is exactly what the read-your-writes check below relies on.  Write
-   batches are tokened and carry no explicit transaction control, so each
-   one is a single atomic commit (one WAL chunk, one LSN) and its token
-   lands in the durable registry — the granularity both the LSN-interleaved
-   oracle and the lost-write detector need. *)
 let schedule ~seed ~si ~batches ~read_only =
-  let ro = if read_only then 1 else 0 in
-  let rng = Random.State.make [| 0xfa110; seed; si; ro |] in
-  let fresh = ref 0 in
-  List.init batches (fun b ->
-      let read () =
-        match Random.State.int rng 3 with
-        | 0 -> "SELECT COUNT(*) AS c FROM kv"
-        | 1 ->
-            Printf.sprintf "SELECT * FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 30)
-        | _ ->
-            Printf.sprintf "SELECT COUNT(*) AS c FROM kv WHERE n > %d"
-              (Random.State.int rng 300)
-      in
-      let write () =
-        match Random.State.int rng 3 with
-        | 0 ->
-            incr fresh;
-            Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 's%d', %d)"
-              (1000 + (100 * si) + !fresh)
-              si
-              (Random.State.int rng 1000)
-        | 1 ->
-            Printf.sprintf "UPDATE kv SET n = %d WHERE id = %d"
-              (Random.State.int rng 1000)
-              (1 + Random.State.int rng 20)
-        | _ ->
-            Printf.sprintf "DELETE FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 20)
-      in
-      let think = Random.State.float rng 2.0 in
-      if read_only || Random.State.int rng 2 = 0 then
-        ( List.map parse
-            (List.init (1 + Random.State.int rng 2) (fun _ -> read ())),
-          None, think )
-      else
-        ( List.map parse
-            (write () :: (if Random.State.bool rng then [ write () ] else [])),
-          Some (Printf.sprintf "fo%d-%d" si b),
-          think ))
+  Oracle.schedule
+    ~seed:[| 0xfa110; seed; si; (if read_only then 1 else 0) |]
+    ~si ~batches ~read_only
 
-(* --- the LSN-interleaved serial-replay oracle ------------------------------ *)
-
-let retained_log srv =
-  let cuts = Adm.failover_log srv in
-  List.filter
-    (fun (e : Adm.entry) ->
-      List.for_all
-        (fun (epoch, cutoff) ->
-          e.Adm.e_epoch >= epoch || e.Adm.e_lsn <= cutoff)
-        cuts)
-    (Adm.log srv)
-
-let oracle_order entries =
-  List.stable_sort
-    (fun (a : Adm.entry) (b : Adm.entry) ->
-      match compare a.Adm.e_lsn b.Adm.e_lsn with
-      | 0 ->
-          compare
-            (if a.Adm.e_reads then 1 else 0)
-            (if b.Adm.e_reads then 1 else 0)
-      | c -> c)
-    entries
-
-let same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) -> o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
-
-(* A token only reaches the WAL's durable registry through the implicit
-   [atomically] wrapper, i.e. for write batches without explicit
-   transaction control — only those can be held to the durable-ack bar. *)
-let durable_token_eligible stmts =
-  List.exists Ast.is_write stmts
-  && not
-       (List.exists
-          (function
-            | Ast.Begin_txn | Ast.Commit | Ast.Rollback -> true
-            | _ -> false)
-          stmts)
-
-type verdict = {
-  v_identical : bool;
-  v_converged : bool;
-  v_lost_writes : int;
-  v_ryw_violations : int;
-}
-
-let verify srv ~delivered =
-  (* Serial replay on a plain twin: keep only executions whose effects
-     survive on the final timeline (an entry from a pre-failover epoch is
-     discarded when its LSN lies beyond that failover's cutoff — by quorum
-     construction no such execution's reply was ever delivered), then
-     linearize replica-served reads into commit order by sorting on
-     [(e_lsn, writes-before-reads)]. *)
-  let retained = oracle_order (retained_log srv) in
-  let oracle = Db.create () in
-  seed_db oracle;
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      match Db.exec_batch oracle e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error _ -> ())
-    retained;
-  let primary = Adm.database srv in
-  let identical = ref (Db.fingerprint primary = Db.fingerprint oracle) in
-  Hashtbl.iter
-    (fun key (tok, _stmts, reply) ->
-      match reply with
-      | Error _ -> ()
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 same_outcome outs oracle_outs)
-                  || (tok <> None && ack_shaped outs))
-              then identical := false))
-    delivered;
-  (* At quiescence the shipper has drained: every surviving follower must
-     hold exactly the primary's state. *)
-  let converged =
-    match Adm.replication srv with
-    | None -> true
-    | Some repl ->
-        let pfp = Db.fingerprint (Repl.primary repl) in
-        List.for_all
-          (fun (i : Repl.replica_info) ->
-            Db.fingerprint (Repl.replica_db repl i.Repl.id) = pfp)
-          (Repl.replicas repl)
-  in
-  (* Zero acknowledged-write loss: every delivered tokened atomic write
-     must be vouched for by the final primary's durable token registry,
-     whatever chain of crashes and promotions happened in between. *)
-  let lost = ref 0 in
-  Hashtbl.iter
-    (fun (si, _) (tok, stmts, reply) ->
-      match (tok, reply) with
-      | Some k, Ok _ when durable_token_eligible stmts ->
-          if not (Db.token_applied primary (Printf.sprintf "s%d:%s" si k))
-          then incr lost
-      | _ -> ())
-    delivered;
-  (* Read-your-writes over the delivered history: within a session (strict
-     program order under closed-loop submission), every delivered read must
-     have executed at an LSN covering every earlier delivered write. *)
-  let last_entry = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      Hashtbl.replace last_entry (e.Adm.e_session, e.Adm.e_seq) e)
-    (Adm.log srv);
-  let by_session = Hashtbl.create 8 in
-  Hashtbl.iter
-    (fun (si, seq) v ->
-      let prev =
-        match Hashtbl.find_opt by_session si with Some l -> l | None -> []
-      in
-      Hashtbl.replace by_session si ((seq, v) :: prev))
-    delivered;
-  let ryw = ref 0 in
-  Hashtbl.iter
-    (fun si seqs ->
-      let seqs = List.sort (fun (a, _) (b, _) -> compare a b) seqs in
-      let floor = ref 0 in
-      List.iter
-        (fun (seq, (_tok, stmts, reply)) ->
-          match reply with
-          | Error _ -> ()
-          | Ok _ -> (
-              match Hashtbl.find_opt last_entry (si, seq) with
-              | None -> ()
-              | Some e ->
-                  if e.Adm.e_reads then (
-                    if e.Adm.e_lsn < !floor then incr ryw)
-                  else if List.exists Ast.is_write stmts then
-                    floor := max !floor e.Adm.e_lsn))
-        seqs)
-    by_session;
-  {
-    v_identical = !identical;
-    v_converged = converged;
-    v_lost_writes = !lost;
-    v_ryw_violations = !ryw;
-  }
+(* At quiescence the shipper has drained: every surviving follower must
+   hold exactly the primary's state. *)
+let converged repl =
+  let pfp = Db.fingerprint (Repl.primary repl) in
+  List.for_all
+    (fun (i : Repl.replica_info) ->
+      Db.fingerprint (Repl.replica_db repl i.Repl.id) = pfp)
+    (Repl.replicas repl)
 
 (* --- one replicated run ---------------------------------------------------- *)
 
@@ -265,7 +53,7 @@ type cell = {
 let run ?(label = "cell") ?(sessions = 6) ?(ro_sessions = 2) ?(batches = 12)
     ?(crash = 0.05) ?(checkpoint_every = 4) ?(rtts = [ 0.4; 0.9; 1.6 ])
     ?(drop = 0.0) ?(seed = 1) () =
-  let db = durable_db ~checkpoint_every () in
+  let db = Oracle.durable_db ~rows:seed_rows ~checkpoint_every in
   let sim = Des.create () in
   let repl = Repl.create ~sim ~primary:db () in
   List.iteri
@@ -283,51 +71,34 @@ let run ?(label = "cell") ?(sessions = 6) ?(ro_sessions = 2) ?(batches = 12)
       ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 60 }
       ~replication:repl ()
   in
-  let delivered = Hashtbl.create 64 in
-  let drive si ses sched =
-    let sid = Adm.session_id ses in
-    let rec go seq = function
-      | [] -> ()
-      | (stmts, tok, think) :: rest ->
-          let fut = Adm.submit ses ?token:tok stmts in
-          Des.Future.on_resolve fut (fun r ->
-              Hashtbl.replace delivered (sid, seq) (tok, stmts, r);
-              Des.delay sim think (fun () -> go (seq + 1) rest))
-    in
-    Des.at sim (0.25 *. float_of_int si) (fun () -> go 0 sched)
+  let rw =
+    List.init sessions (fun si ->
+        let fault =
+          Fault.create (Fault.plan ~crash_p:crash ~seed:(seed + 100 + si) ())
+        in
+        ( Adm.open_session ~fault srv,
+          schedule ~seed ~si ~batches ~read_only:false ))
   in
-  for si = 0 to sessions - 1 do
-    let fault =
-      Fault.create (Fault.plan ~crash_p:crash ~seed:(seed + 100 + si) ())
-    in
-    drive si
-      (Adm.open_session ~fault srv)
-      (schedule ~seed ~si ~batches ~read_only:false)
-  done;
-  for ri = 0 to ro_sessions - 1 do
-    let si = sessions + ri in
-    drive si (Adm.open_session srv)
-      (schedule ~seed ~si ~batches ~read_only:true)
-  done;
-  Des.run sim ~until:Float.infinity;
-  let vd = verify srv ~delivered in
+  let ro =
+    List.init ro_sessions (fun ri ->
+        ( Adm.open_session srv,
+          schedule ~seed ~si:(sessions + ri) ~batches ~read_only:true ))
+  in
+  let history = Oracle.drive srv (rw @ ro) in
+  let oracle = Db.create () in
+  Oracle.seed_db ~rows:seed_rows oracle;
+  let primary = Adm.database srv in
+  let v =
+    Oracle.check_server srv ~replay:(Db.exec_batch oracle)
+      ~token_durable:(Db.token_applied primary) history
+  in
   let s = Adm.stats srv in
   let rs = Repl.stats repl in
-  let total = (sessions + ro_sessions) * batches in
-  let torn =
-    (total - Hashtbl.length delivered)
-    + (match Adm.state srv with Adm.Serving -> 0 | _ -> 1)
-  in
-  let errors =
-    Hashtbl.fold
-      (fun _ (_, _, r) acc -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-      delivered 0
-  in
   {
     fc_label = label;
     fc_ck = checkpoint_every;
-    fc_batches = total;
-    fc_errors = errors;
+    fc_batches = history.Oracle.submitted;
+    fc_errors = v.Oracle.errors;
     fc_crashes = s.Adm.crashes;
     fc_failovers = s.Adm.failovers;
     fc_recoveries = s.Adm.recoveries;
@@ -337,15 +108,16 @@ let run ?(label = "cell") ?(sessions = 6) ?(ro_sessions = 2) ?(batches = 12)
     fc_replica_batches = s.Adm.replica_read_batches;
     fc_replica_rows = s.Adm.replica_rows_scanned;
     fc_ryw_fallbacks = s.Adm.ryw_fallbacks;
-    fc_ryw_violations = s.Adm.ryw_violations + vd.v_ryw_violations;
-    fc_lost_writes = vd.v_lost_writes;
-    fc_torn = torn;
+    fc_ryw_violations = s.Adm.ryw_violations + v.Oracle.ryw_violations;
+    fc_lost_writes = v.Oracle.lost_acked_writes;
+    fc_torn = v.Oracle.torn;
     fc_chunks = rs.Repl.chunks_shipped;
     fc_snapshots = rs.Repl.snapshots_shipped;
     fc_link_retransmits = rs.Repl.retransmits;
     fc_replicas_left = Repl.n_replicas repl;
-    fc_identical = vd.v_identical;
-    fc_converged = vd.v_converged;
+    fc_identical =
+      v.Oracle.identical && Db.fingerprint primary = Db.fingerprint oracle;
+    fc_converged = converged repl;
     fc_stats = s;
   }
 

@@ -10,52 +10,19 @@
     random [Server_crash] faults kill the primary, and recovery promotes
     the most caught-up follower and re-drives the torn batches against it.
 
-    A run is judged by the {e LSN-interleaved serial-replay oracle}:
-    executions from pre-failover epochs whose LSN lies beyond that
-    failover's cutoff are discarded (their effects died with the old
-    timeline — by quorum construction none of their replies were
-    delivered), the rest are stable-sorted by [(e_lsn,
-    writes-before-reads)] so replica-served reads land at their snapshot
-    position in commit order, and the sorted log is replayed on a plain
-    twin database.  Every delivered result must match the replay, the
-    final primary must fingerprint-equal it, no acknowledged tokened write
-    may be missing from the final primary's durable token registry
+    A run is judged by {!Oracle.check}: executions from pre-failover
+    epochs whose LSN lies beyond that failover's cutoff are discarded
+    (their effects died with the old timeline — by quorum construction
+    none of their replies were delivered), the rest are stable-sorted by
+    [(e_lsn, writes-before-reads)] so replica-served reads land at their
+    snapshot position in commit order, and the sorted log is replayed on a
+    plain twin database.  Every delivered result must match the replay,
+    the final primary must fingerprint-equal it, no acknowledged tokened
+    write may be missing from the final primary's durable token registry
     ([lost_writes = 0]), no delivered read may predate an earlier
     delivered write of its session ([ryw_violations = 0]), and at
     quiescence every surviving follower must fingerprint-equal the
     primary. *)
-
-type verdict = {
-  v_identical : bool;
-      (** delivered results and the final primary match the oracle replay *)
-  v_converged : bool;
-      (** every surviving follower fingerprint-equals the primary *)
-  v_lost_writes : int;  (** acked tokened writes missing from the registry *)
-  v_ryw_violations : int;
-      (** delivered reads that predate an earlier delivered write of their
-          session *)
-}
-
-val retained_log :
-  Sloth_server.Admission.t -> Sloth_server.Admission.entry list
-(** The execution log minus entries discarded by a failover (pre-failover
-    epoch, LSN beyond the cutoff), in log order. *)
-
-val oracle_order :
-  Sloth_server.Admission.entry list -> Sloth_server.Admission.entry list
-(** Stable sort by [(e_lsn, writes-before-reads)] — the serialization
-    order the oracle replays. *)
-
-val verify :
-  Sloth_server.Admission.t ->
-  delivered:
-    ( int * int,
-      string option * Sloth_sql.Ast.stmt list * Sloth_server.Admission.reply
-    )
-    Hashtbl.t ->
-  verdict
-(** Judge a finished run: [delivered] maps [(session_id, seq)] to the
-    token, statements and reply of every batch whose future resolved. *)
 
 type cell = {
   fc_label : string;

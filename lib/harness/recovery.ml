@@ -1,6 +1,4 @@
 module Db = Sloth_storage.Database
-module Rs = Sloth_storage.Result_set
-module Wal = Sloth_storage.Wal
 module Vclock = Sloth_net.Vclock
 module Des = Sloth_net.Des
 module Link = Sloth_net.Link
@@ -12,13 +10,7 @@ let rtt_ms = 2.0
 
 (* --- the chaos write workload -------------------------------------------- *)
 
-let seed_sql =
-  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
-   PRIMARY KEY (id))"
-  :: List.init 20 (fun i ->
-         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
-           (i + 1) (i + 1)
-           ((i + 1) * 10))
+let seed_rows = 20
 
 (* Each batch is a multi-statement write transaction; together they walk the
    table through inserts, updates and deletes so every crash point lands on
@@ -78,21 +70,12 @@ let batches = List.map (List.map parse) batches_sql
 let n_batches = List.length batches
 let token_of i = Printf.sprintf "rec-%d" i
 
-let seed_db db = List.iter (fun sql -> ignore (Db.exec_sql db sql)) seed_sql
-
-let durable_db ~checkpoint_every () =
-  let db = Db.create () in
-  Db.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
-    ~checkpoint:(Wal.mem ()) db;
-  seed_db db;
-  db
-
 (* Fingerprints of the intended state after the seed and after each batch,
    computed once on a plain fault-free database. *)
 let shadow_fps =
   lazy
     (let db = Db.create () in
-     seed_db db;
+     Oracle.seed_db ~rows:seed_rows db;
      let fps = Array.make (n_batches + 1) "" in
      fps.(0) <- Db.fingerprint db;
      List.iteri
@@ -115,9 +98,9 @@ type verdict = {
 (* Crash the server on batch [crash_at]'s round trip (on the given leg),
    verify the recovered state is exactly pre- or post-batch, then reconnect
    and re-drive the same idempotency token to completion. *)
-let crash_run ~checkpoint_every ~crash_at ~leg =
+let crash_run ~checkpoint_every ~crash_at ~leg_label ~leg =
   let shadow = Lazy.force shadow_fps in
-  let db = durable_db ~checkpoint_every () in
+  let db = Oracle.durable_db ~rows:seed_rows ~checkpoint_every in
   let link = Link.create ~rtt_ms (Vclock.create ()) in
   let conn = Conn.create db link in
   Conn.set_retry_policy conn Conn.Retry_policy.no_retry;
@@ -137,7 +120,11 @@ let crash_run ~checkpoint_every ~crash_at ~leg =
     | () -> false
     | exception Conn.Retries_exhausted _ -> true
   in
-  assert aborted;
+  if not aborted then
+    Db.invariant_violation
+      "Recovery: the scripted %s crash on batch %d (checkpoint every %d) \
+       did not abort the batch"
+      leg_label crash_at checkpoint_every;
   let stats = Db.last_recovery db in
   let recovered = Db.fingerprint db in
   let recovered_to =
@@ -195,7 +182,7 @@ let run_cell ~ck ~leg_label ~leg =
   and wal_bytes = ref 0
   and rec_ms = ref 0.0 in
   for crash_at = 0 to n_batches - 1 do
-    let v = crash_run ~checkpoint_every:ck ~crash_at ~leg in
+    let v = crash_run ~checkpoint_every:ck ~crash_at ~leg_label ~leg in
     (match v.recovered_to with
     | `Pre -> incr pre
     | `Post -> incr post
@@ -229,14 +216,13 @@ let run_cell ~ck ~leg_label ~leg =
    server: several closed-loop sessions submit read and tokened write
    batches while seeded random [Server_crash] faults kill the server under
    them.  Every crash tears the in-flight coalesced groups; the sessions
-   reconnect and re-drive; delivered results must still match a serial
-   replay of the (crash-epoch-annotated) execution log and the recovered
-   database must fingerprint-equal the replay. *)
+   reconnect and re-drive; the history must pass {!Oracle.check} against
+   the (crash-epoch-annotated) execution log and the recovered database
+   must fingerprint-equal the replay. *)
 
 type served = {
   sv_sessions : int;
   sv_batches : int;  (** batches submitted across all sessions *)
-  sv_errors : int;  (** batches answered with [Error] *)
   sv_crashes : int;  (** server crashes taken *)
   sv_epochs : int;  (** final crash epoch (= crashes taken) *)
   sv_recoveries : int;
@@ -245,132 +231,43 @@ type served = {
   sv_durable_acks : int;  (** re-drives answered from the WAL token registry *)
   sv_reconnects : int;  (** per-session reconnect attempts, summed *)
   sv_retransmits : int;
-  sv_torn : int;  (** batches left torn at quiescence — must be 0 *)
-  sv_identical : bool;  (** delivered results match the serial replay *)
+  sv_verdict : Oracle.verdict;
+  sv_identical : bool;
+      (** the oracle found no divergence and the recovered database
+          fingerprint-equals the replay *)
 }
 
 let served_sessions = 6
 let served_batches_per_session = 10
 
-let served_schedule si =
-  let rng = Random.State.make [| 0x51c7ed; si |] in
-  let fresh = ref 0 in
-  List.init served_batches_per_session (fun b ->
-      let read () =
-        match Random.State.int rng 3 with
-        | 0 -> "SELECT COUNT(*) AS c FROM kv"
-        | 1 ->
-            Printf.sprintf "SELECT * FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 25)
-        | _ ->
-            Printf.sprintf "SELECT COUNT(*) AS c FROM kv WHERE n > %d"
-              (Random.State.int rng 300)
-      in
-      let write () =
-        match Random.State.int rng 3 with
-        | 0 ->
-            incr fresh;
-            Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 's%d', %d)"
-              (200 + (100 * si) + !fresh) si
-              (Random.State.int rng 1000)
-        | 1 ->
-            Printf.sprintf "UPDATE kv SET n = %d WHERE id = %d"
-              (Random.State.int rng 1000)
-              (1 + Random.State.int rng 20)
-        | _ ->
-            Printf.sprintf "DELETE FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 20)
-      in
-      let think = Random.State.float rng 3.0 in
-      if Random.State.int rng 2 = 0 then
-        ( List.map parse
-            (List.init (1 + Random.State.int rng 2) (fun _ -> read ())),
-          None, think )
-      else
-        ( List.map parse
-            (write () :: (if Random.State.bool rng then [ write () ] else [])),
-          Some (Printf.sprintf "sv%d-%d" si b),
-          think ))
-
-let served_same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let served_ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) -> o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
-
 let served_crash ?(crash = 0.06) ?(checkpoint_every = 2) () =
-  let db = durable_db ~checkpoint_every () in
+  let db = Oracle.durable_db ~rows:seed_rows ~checkpoint_every in
   let sim = Des.create () in
-  let srv = Adm.create ~sim ~db ~window_ms:1.0 ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
+  let srv =
+    Adm.create ~sim ~db ~window_ms:1.0
+      ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
       ()
   in
-  let delivered = Hashtbl.create 64 in
   let sessions =
     List.init served_sessions (fun si ->
         let fault =
           Fault.create (Fault.plan ~crash_p:crash ~seed:(100 + si) ())
         in
-        Adm.open_session ~fault srv)
+        ( Adm.open_session ~fault srv,
+          Oracle.schedule ~seed:[| 0x51c7ed; si |] ~si
+            ~batches:served_batches_per_session ~read_only:false ))
   in
-  List.iteri
-    (fun si ses ->
-      let rec go seq = function
-        | [] -> ()
-        | (stmts, tok, think) :: rest ->
-            let fut = Adm.submit ses ?token:tok stmts in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) (tok <> None, r));
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (0.3 *. float_of_int si) (fun () -> go 0 (served_schedule si)))
-    sessions;
-  Des.run sim ~until:Float.infinity;
-  (* serial replay of the execution log on a plain twin database *)
+  let history = Oracle.drive srv sessions in
   let oracle = Db.create () in
-  seed_db oracle;
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      match Db.exec_batch oracle e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error _ -> ())
-    (Adm.log srv);
-  let identical = ref (Db.fingerprint db = Db.fingerprint oracle) in
-  Hashtbl.iter
-    (fun key (tokened, reply) ->
-      match reply with
-      | Error _ -> ()
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 served_same_outcome outs oracle_outs)
-                  || (tokened && served_ack_shaped outs))
-              then identical := false))
-    delivered;
-  let total = served_sessions * served_batches_per_session in
-  let torn =
-    (total - Hashtbl.length delivered)
-    + (match Adm.state srv with Adm.Serving -> 0 | _ -> 1)
+  Oracle.seed_db ~rows:seed_rows oracle;
+  let v =
+    Oracle.check_server srv ~replay:(Db.exec_batch oracle)
+      ~token_durable:(Db.token_applied db) history
   in
   let s = Adm.stats srv in
-  let errors =
-    Hashtbl.fold
-      (fun _ (_, r) acc -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-      delivered 0
-  in
   {
     sv_sessions = served_sessions;
-    sv_batches = total;
-    sv_errors = errors;
+    sv_batches = history.Oracle.submitted;
     sv_crashes = s.Adm.crashes;
     sv_epochs = Adm.epoch srv;
     sv_recoveries = s.Adm.recoveries;
@@ -378,17 +275,20 @@ let served_crash ?(crash = 0.06) ?(checkpoint_every = 2) () =
     sv_redriven = s.Adm.redriven;
     sv_durable_acks = s.Adm.durable_acks;
     sv_reconnects =
-      List.fold_left (fun acc ses -> acc + Adm.session_reconnects ses) 0
-        sessions;
+      List.fold_left
+        (fun acc (ses, _) -> acc + Adm.session_reconnects ses)
+        0 sessions;
     sv_retransmits = s.Adm.retransmits;
-    sv_torn = torn;
-    sv_identical = !identical;
+    sv_verdict = v;
+    sv_identical =
+      v.Oracle.identical && Db.fingerprint db = Db.fingerprint oracle;
   }
 
 (* [mean_recovery_ms] is real wall-clock and varies run to run; it is
    printed in the report table but deliberately kept out of the JSON so the
    committed artifact is reproducible byte for byte. *)
 let json_of_cells cells served =
+  let v = served.sv_verdict in
   let b = Buffer.create 1024 in
   Buffer.add_string b "{\n  \"experiment\": \"recovery\",\n  \"cells\": [\n";
   List.iteri
@@ -411,13 +311,15 @@ let json_of_cells cells served =
         %d, \"crashes\": %d, \"epochs\": %d, \"recoveries\": %d, \
         \"torn_inflight\": %d, \"redriven\": %d, \"durable_acks\": %d, \
         \"reconnects\": %d, \"retransmits\": %d, \"torn\": %d, \
+        \"lost_acked_writes\": %d, \"ryw_violations\": %d, \
         \"results_identical\": %b},\n"
-       served.sv_sessions served.sv_batches served.sv_errors served.sv_crashes
+       served.sv_sessions served.sv_batches v.Oracle.errors served.sv_crashes
        served.sv_epochs served.sv_recoveries served.sv_torn_inflight
        served.sv_redriven served.sv_durable_acks served.sv_reconnects
-       served.sv_retransmits served.sv_torn served.sv_identical);
+       served.sv_retransmits v.Oracle.torn v.Oracle.lost_acked_writes
+       v.Oracle.ryw_violations served.sv_identical);
   let torn_total =
-    List.fold_left (fun acc c -> acc + c.torn) 0 cells + served.sv_torn
+    List.fold_left (fun acc c -> acc + c.torn) 0 cells + v.Oracle.torn
   in
   Buffer.add_string b
     (Printf.sprintf "  \"torn_total\": %d\n}\n" torn_total);
@@ -503,10 +405,13 @@ let recovery ?json () =
     "  crashes %d (epochs %d, recoveries %d), torn in-flight %d, re-driven \
      %d,\n\
     \  durable acks %d, reconnects %d, retransmits %d, errors %d\n\
-    \  torn at quiescence: %d, results identical to serial replay: %b\n"
+    \  torn at quiescence %d, lost acked writes %d, RYW violations %d,\n\
+    \  results identical to serial replay: %b\n"
     sv.sv_crashes sv.sv_epochs sv.sv_recoveries sv.sv_torn_inflight
     sv.sv_redriven sv.sv_durable_acks sv.sv_reconnects sv.sv_retransmits
-    sv.sv_errors sv.sv_torn sv.sv_identical;
+    sv.sv_verdict.Oracle.errors sv.sv_verdict.Oracle.torn
+    sv.sv_verdict.Oracle.lost_acked_writes sv.sv_verdict.Oracle.ryw_violations
+    sv.sv_identical;
   Option.iter
     (fun path ->
       let oc = open_out path in
@@ -534,14 +439,14 @@ let tracked_batches =
 
 let tracked ?(crash = 0.05) ?(checkpoint_every = 4) () =
   let shadow_db = Db.create () in
-  seed_db shadow_db;
+  Oracle.seed_db ~rows:seed_rows shadow_db;
   List.iter
     (fun stmts ->
       Db.atomically shadow_db (fun () ->
           List.iter (fun s -> ignore (Db.exec shadow_db s)) stmts))
     tracked_batches;
   let shadow = Db.fingerprint shadow_db in
-  let db = durable_db ~checkpoint_every () in
+  let db = Oracle.durable_db ~rows:seed_rows ~checkpoint_every in
   let link = Link.create ~rtt_ms (Vclock.create ()) in
   let conn = Conn.create db link in
   Conn.set_retry_policy conn

@@ -13,12 +13,15 @@
 
     The [served-crash] arm runs the same durability story through the
     asynchronous multi-session server ({!Sloth_server.Admission}): several
-    closed-loop sessions under seeded random [Server_crash] faults, every
-    crash tearing the in-flight coalesced groups, sessions reconnecting and
-    re-driving through the durable idempotency path.  Delivered results
-    must match a serial replay of the crash-epoch-annotated execution log
-    and the recovered database must fingerprint-equal the replay; the
-    crash / epoch / re-drive counters land in [BENCH_recovery.json]. *)
+    closed-loop sessions ({!Oracle.drive}: each batch leaves a think time
+    after the previous reply) under seeded random [Server_crash] faults,
+    every crash tearing the in-flight coalesced groups, sessions
+    reconnecting and re-driving through the durable idempotency path.  The
+    history must pass {!Oracle.check} against the crash-epoch-annotated
+    execution log (no divergence, no lost acked write, no read-your-writes
+    violation) and the recovered database must fingerprint-equal the
+    replay; the crash / epoch / re-drive counters and the detectors land in
+    [BENCH_recovery.json]. *)
 
 val recovery : ?json:string -> unit -> unit
 (** Run the full sweep plus the served-crash arm; when [json] is given,

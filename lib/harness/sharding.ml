@@ -1,20 +1,12 @@
 module Db = Sloth_storage.Database
 module Shard = Sloth_storage.Shard
-module Wal = Sloth_storage.Wal
-module Rs = Sloth_storage.Result_set
 module Fault = Sloth_net.Fault
 module Des = Sloth_net.Des
 module Adm = Sloth_server.Admission
 
 (* --- the cross-shard write workload -------------------------------------- *)
 
-let seed_sql =
-  "CREATE TABLE kv (id INT NOT NULL, v TEXT NOT NULL, n INT NOT NULL, \
-   PRIMARY KEY (id))"
-  :: List.init 24 (fun i ->
-         Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 'r%d', %d)"
-           (i + 1) (i + 1)
-           ((i + 1) * 10))
+let seed_rows = 24
 
 (* Every batch touches three distinct primary keys, and every routed write
    definitely mutates its shard (inserts are fresh, updates and deletes hit
@@ -86,11 +78,18 @@ let batches = List.map (List.map parse) batches_sql
 let n_batches = List.length batches
 let token_of i = Printf.sprintf "sh-%d" i
 
-let seed_shard sh = List.iter (fun sql -> ignore (Shard.exec_sql sh sql)) seed_sql
-let seed_db db = List.iter (fun sql -> ignore (Db.exec_sql db sql)) seed_sql
+let seed_shard sh =
+  List.iter
+    (fun sql -> ignore (Shard.exec_sql sh sql))
+    (Oracle.kv_seed ~rows:seed_rows)
 
-let deployment ~shards ~checkpoint_every () =
-  let sh = Shard.create ~checkpoint_every ~shards () in
+(* [replicas > 0] makes every shard a WAL-shipping replication group: a
+   shard-primary crash at any 2PC step then promotes the most caught-up
+   follower instead of recovering in place. *)
+let deployment ~replicas ~shards ~checkpoint_every =
+  let sh =
+    Shard.create ~checkpoint_every ~replicas_per_shard:replicas ~shards ()
+  in
   seed_shard sh;
   sh
 
@@ -109,7 +108,7 @@ let drive sh i =
 let shadow_lfps =
   lazy
     (let db = Db.create () in
-     seed_db db;
+     Oracle.seed_db ~rows:seed_rows db;
      let fps = Array.make (n_batches + 1) "" in
      fps.(0) <- Shard.logical_fingerprint_db db;
      List.iteri
@@ -130,8 +129,12 @@ type layout = {
   l_ref : string list;  (** per-shard fingerprints of the clean final state *)
 }
 
+(* Always probed on an unreplicated deployment: replication consumes no
+   extra decision points, and the reference fingerprints double as a
+   transparency check — a replicated run that crashed and promoted must
+   land on the same per-shard heaps as a plain crash-free run. *)
 let probe ~shards ~checkpoint_every =
-  let sh = deployment ~shards ~checkpoint_every () in
+  let sh = deployment ~replicas:0 ~shards ~checkpoint_every in
   let f = Fault.create (Fault.plan ()) in
   Shard.set_fault sh (Some f);
   let starts = Array.make n_batches 0 and trips = Array.make n_batches 0 in
@@ -141,7 +144,11 @@ let probe ~shards ~checkpoint_every =
     trips.(i) <- Fault.trips f - starts.(i)
   done;
   Shard.set_fault sh None;
-  assert (Shard.logical_fingerprint sh = (Lazy.force shadow_lfps).(n_batches));
+  if Shard.logical_fingerprint sh <> shadow_lfp n_batches then
+    Db.invariant_violation
+      "Sharding.probe: the crash-free run on %d shards (checkpoint every %d) \
+       diverged from the unsharded shadow"
+      shards checkpoint_every;
   { l_start = starts; l_trips = trips; l_ref = Shard.shard_fingerprints sh }
 
 (* --- the crash matrix ------------------------------------------------------ *)
@@ -248,11 +255,60 @@ type case_result = {
   cr_replay : bool;  (** per-shard fingerprints equal the clean replay *)
   cr_in_doubt_committed : int;
   cr_in_doubt_aborted : int;
+  cr_promotions : int;  (** shard-primary promotions this case performed *)
+  cr_prepared_survived : bool;
+      (** false only when a post-decision crash left the decided
+          transaction unapplied *)
 }
 
-let run_case ~shards ~checkpoint_every ~layout ~crash_at ~(role : role) =
-  let shadow = Lazy.force shadow_lfps in
-  let sh = deployment ~shards ~checkpoint_every () in
+(* Crash points whose window opens after the coordinator's decision is on
+   disk: from there on the transaction is committed, and no single node
+   death (or in-place restart) may un-commit it. *)
+let post_decision_roles = [ "decision/after-log"; "ack-first"; "ack-last" ]
+
+(* Judge a case once its crash (or follower death) happened: the state
+   must be exactly pre or post, then the client re-drives the same token,
+   which must converge on the post-batch state exactly once, and the
+   remaining batches must land on the shadow state. *)
+let finish_case sh ~layout ~crash_at ~label ~acked ~misfire =
+  Shard.quiesce sh;
+  let applied = Shard.token_applied sh (token_of crash_at) in
+  let atomic =
+    Shard.logical_fingerprint sh
+    = shadow_lfp (if applied then crash_at + 1 else crash_at)
+  in
+  let audit = List.length (Shard.audit sh) in
+  let _, _, idc, ida = Shard.recovery_totals sh in
+  drive sh crash_at;
+  let resume =
+    Shard.logical_fingerprint sh = shadow_lfp (crash_at + 1)
+    && Shard.token_applied sh (token_of crash_at)
+  in
+  for i = crash_at + 1 to n_batches - 1 do
+    drive sh i
+  done;
+  Shard.quiesce sh;
+  {
+    cr_role = label;
+    cr_acked = acked;
+    cr_applied = applied;
+    cr_atomic = atomic;
+    cr_lost = acked && not applied;
+    cr_audit = audit;
+    cr_misfire = misfire;
+    cr_resume = resume;
+    cr_final = Shard.logical_fingerprint sh = shadow_lfp n_batches;
+    cr_replay = Shard.shard_fingerprints sh = layout.l_ref;
+    cr_in_doubt_committed = idc;
+    cr_in_doubt_aborted = ida;
+    cr_promotions = List.length (Shard.failovers sh);
+    cr_prepared_survived =
+      (not (List.mem label post_decision_roles)) || applied;
+  }
+
+let run_case ~replicas ~shards ~checkpoint_every ~layout ~crash_at
+    ~(role : role) =
+  let sh = deployment ~replicas ~shards ~checkpoint_every in
   let f = Fault.create (Fault.plan ()) in
   Fault.script ~target:role.r_target f ~first:role.r_first ~last:role.r_last
     Fault.Server_crash role.r_leg;
@@ -266,71 +322,65 @@ let run_case ~shards ~checkpoint_every ~layout ~crash_at ~(role : role) =
     | exception Db.Sql_error _ -> false
   in
   Shard.set_fault sh None;
-  let misfire = Fault.count f Fault.Server_crash <> 1 in
-  let applied = Shard.token_applied sh (token_of crash_at) in
-  let lfp = Shard.logical_fingerprint sh in
-  let atomic =
-    if applied then lfp = shadow.(crash_at + 1) else lfp = shadow.(crash_at)
-  in
-  let audit = List.length (Shard.audit sh) in
-  let _, _, idc, ida = Shard.recovery_totals sh in
-  (* the client saw either an ack or an abort/timeout: it re-drives the same
-     token, which must converge on the post-batch state exactly once *)
-  drive sh crash_at;
-  let resume =
-    Shard.logical_fingerprint sh = shadow.(crash_at + 1)
-    && Shard.token_applied sh (token_of crash_at)
-  in
-  for i = crash_at + 1 to n_batches - 1 do
+  finish_case sh ~layout ~crash_at ~label:role.r_label ~acked
+    ~misfire:(Fault.count f Fault.Server_crash <> 1)
+
+(* The follower-death axis (replicated deployments only): no crash is
+   scripted — one follower of a shard is removed just before the batch.
+   The client must see a plain ack (the quorum denominator shrank with the
+   cluster), so anything else counts as this case's misfire. *)
+let run_follower_case ~replicas ~shards ~checkpoint_every ~layout ~crash_at =
+  let sh = deployment ~replicas ~shards ~checkpoint_every in
+  for i = 0 to crash_at - 1 do
     drive sh i
   done;
-  let final = Shard.logical_fingerprint sh = shadow.(n_batches) in
-  let replay = Shard.shard_fingerprints sh = layout.l_ref in
-  {
-    cr_role = role.r_label;
-    cr_acked = acked;
-    cr_applied = applied;
-    cr_atomic = atomic;
-    cr_lost = acked && not applied;
-    cr_audit = audit;
-    cr_misfire = misfire;
-    cr_resume = resume;
-    cr_final = final;
-    cr_replay = replay;
-    cr_in_doubt_committed = idc;
-    cr_in_doubt_aborted = ida;
-  }
+  Shard.kill_follower sh (crash_at mod shards);
+  let acked =
+    match drive sh crash_at with
+    | () -> true
+    | exception Db.Sql_error _ -> false
+  in
+  finish_case sh ~layout ~crash_at ~label:"follower-dies" ~acked
+    ~misfire:(not acked)
 
 type config_result = {
   cfg_shards : int;
+  cfg_replicas : int;
   cfg_checkpoint_every : int;
   cfg_cases : int;
   cfg_acked : int;
   cfg_applied : int;
   cfg_aborted : int;
+  cfg_promotions : int;
   cfg_in_doubt_committed : int;
   cfg_in_doubt_aborted : int;
   cfg_atomicity_violations : int;
   cfg_lost_writes : int;
   cfg_audit_violations : int;
+  cfg_prepared_survival_violations : int;
   cfg_misfires : int;
   cfg_resume_ok : int;
   cfg_final_ok : int;
   cfg_replay_ok : int;
-  cfg_by_role : (string * int * int * int) list;
-      (** role, cases, acked, applied — matrix rows for the report *)
+  cfg_by_role : (string * int * int * int * int) list;
+      (** role, cases, acked, applied, promotions — matrix rows for the
+          report *)
 }
 
-let run_config ~shards ~checkpoint_every =
+let run_config ~replicas ~shards ~checkpoint_every =
   let layout = probe ~shards ~checkpoint_every in
   let results = ref [] in
   for crash_at = 0 to n_batches - 1 do
     List.iter
       (fun role ->
         results :=
-          run_case ~shards ~checkpoint_every ~layout ~crash_at ~role
+          run_case ~replicas ~shards ~checkpoint_every ~layout ~crash_at ~role
           :: !results)
-      (roles_of ~t0:layout.l_start.(crash_at) ~trips:layout.l_trips.(crash_at))
+      (roles_of ~t0:layout.l_start.(crash_at) ~trips:layout.l_trips.(crash_at));
+    if replicas > 0 then
+      results :=
+        run_follower_case ~replicas ~shards ~checkpoint_every ~layout ~crash_at
+        :: !results
   done;
   let rs = List.rev !results in
   let count p = List.length (List.filter p rs) in
@@ -345,20 +395,25 @@ let run_config ~shards ~checkpoint_every =
            ( label,
              List.length mine,
              List.length (List.filter (fun r -> r.cr_acked) mine),
-             List.length (List.filter (fun r -> r.cr_applied) mine) ))
+             List.length (List.filter (fun r -> r.cr_applied) mine),
+             List.fold_left (fun acc r -> acc + r.cr_promotions) 0 mine ))
   in
   {
     cfg_shards = shards;
+    cfg_replicas = replicas;
     cfg_checkpoint_every = checkpoint_every;
     cfg_cases = List.length rs;
     cfg_acked = count (fun r -> r.cr_acked);
     cfg_applied = count (fun r -> r.cr_applied);
     cfg_aborted = count (fun r -> not r.cr_applied);
+    cfg_promotions = sum (fun r -> r.cr_promotions);
     cfg_in_doubt_committed = sum (fun r -> r.cr_in_doubt_committed);
     cfg_in_doubt_aborted = sum (fun r -> r.cr_in_doubt_aborted);
     cfg_atomicity_violations = count (fun r -> not r.cr_atomic);
     cfg_lost_writes = count (fun r -> r.cr_lost);
     cfg_audit_violations = sum (fun r -> r.cr_audit);
+    cfg_prepared_survival_violations =
+      count (fun r -> not r.cr_prepared_survived);
     cfg_misfires = count (fun r -> r.cr_misfire);
     cfg_resume_ok = count (fun r -> r.cr_resume);
     cfg_final_ok = count (fun r -> r.cr_final);
@@ -369,181 +424,78 @@ let run_config ~shards ~checkpoint_every =
 let shard_counts = [ 2; 3 ]
 let checkpoint_intervals = [ 1; 4; 0 ]
 
-(* --- served arm: the async server over sharded storage -------------------- *)
+(* --- served arm: the async server over (replicated) shards ----------------- *)
 
 type served = {
   sh_sessions : int;
   sh_batches : int;
+  sh_stats : Adm.stats;
+  sh_shard : Shard.stats;
   sh_errors : int;
-  sh_crashes : int;
-  sh_recoveries : int;
-  sh_torn_inflight : int;
-  sh_redriven : int;
-  sh_durable_acks : int;
-  sh_torn : int;  (** batches left torn at quiescence — must be 0 *)
-  sh_two_pc : int;
-  sh_one_pc : int;
-  sh_aborts : int;
-  sh_gathers : int;
-  sh_fanout : int;
-  sh_decisions : int;
+  sh_torn : int;
+  sh_ryw_violations : int;
+  sh_lost_acked_writes : int;
+  sh_audit_violations : int;
   sh_identical : bool;
-      (** delivered results and per-shard fingerprints match a serial replay
-          on a fresh same-shard-count deployment, and the logical state
-          matches an unsharded replay *)
 }
 
 let served_sessions = 6
 let served_batches_per_session = 10
 
-let served_schedule si =
-  let rng = Random.State.make [| 0x5a4d; si |] in
-  let fresh = ref 0 in
-  List.init served_batches_per_session (fun b ->
-      let read () =
-        match Random.State.int rng 3 with
-        | 0 -> "SELECT COUNT(*) AS c FROM kv"
-        | 1 ->
-            Printf.sprintf "SELECT * FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 30)
-        | _ ->
-            Printf.sprintf "SELECT COUNT(*) AS c FROM kv WHERE n > %d"
-              (Random.State.int rng 300)
-      in
-      let write () =
-        match Random.State.int rng 3 with
-        | 0 ->
-            incr fresh;
-            Printf.sprintf "INSERT INTO kv (id, v, n) VALUES (%d, 's%d', %d)"
-              (200 + (100 * si) + !fresh) si
-              (Random.State.int rng 1000)
-        | 1 ->
-            Printf.sprintf "UPDATE kv SET n = %d WHERE id = %d"
-              (Random.State.int rng 1000)
-              (1 + Random.State.int rng 20)
-        | _ ->
-            Printf.sprintf "DELETE FROM kv WHERE id = %d"
-              (1 + Random.State.int rng 20)
-      in
-      let think = Random.State.float rng 3.0 in
-      if Random.State.int rng 2 = 0 then
-        ( List.map parse
-            (List.init (1 + Random.State.int rng 2) (fun _ -> read ())),
-          None, think )
-      else
-        ( List.map parse
-            (write () :: (if Random.State.bool rng then [ write () ] else [])),
-          Some (Printf.sprintf "sh%d-%d" si b),
-          think ))
-
-let served_same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let served_ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) -> o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
-
-let served_sharded ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2) () =
-  let sh = deployment ~shards ~checkpoint_every () in
+let served ~replicas ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2) ()
+    =
+  let sh = deployment ~replicas ~shards ~checkpoint_every in
   let sim = Des.create () in
   let srv =
     Adm.create ~sim ~db:(Shard.shard_db sh 0) ~sharding:sh ~window_ms:1.0
       ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
       ()
   in
-  let delivered = Hashtbl.create 64 in
   let sessions =
     List.init served_sessions (fun si ->
         let fault =
           Fault.create (Fault.plan ~crash_p:crash ~seed:(300 + si) ())
         in
-        Adm.open_session ~fault srv)
+        ( Adm.open_session ~fault srv,
+          Oracle.schedule ~seed:[| 0x5a4d; si |] ~si
+            ~batches:served_batches_per_session ~read_only:false ))
   in
-  List.iteri
-    (fun si ses ->
-      let rec go seq = function
-        | [] -> ()
-        | (stmts, tok, think) :: rest ->
-            let fut = Adm.submit ses ?token:tok stmts in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) (tok <> None, r));
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (0.3 *. float_of_int si) (fun () -> go 0 (served_schedule si)))
-    sessions;
-  Des.run sim ~until:Float.infinity;
-  (* serial replay on a fresh deployment with the same shard count: result
-     sets (and row order) must match exactly; a second, unsharded replay
+  let history = Oracle.drive srv sessions in
+  Shard.quiesce sh;
+  (* two serial replays: a fresh UNREPLICATED same-shard-count deployment
+     pins result sets (row order included) and per-shard heaps, so
+     replication and promotions must be invisible; an unsharded engine
      pins the logical state across shard counts *)
-  let osh = deployment ~shards ~checkpoint_every () in
+  let osh = deployment ~replicas:0 ~shards ~checkpoint_every in
   let odb = Db.create () in
-  seed_db odb;
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      (match Db.exec_batch odb e.Adm.e_stmts with
-      | _ -> ()
-      | exception Db.Sql_error _ -> ());
-      match Shard.exec_batch osh e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error _ -> ())
-    (Adm.log srv);
-  let identical =
-    ref
-      (Shard.shard_fingerprints sh = Shard.shard_fingerprints osh
-      && Shard.logical_fingerprint sh = Shard.logical_fingerprint_db odb
-      (* end-of-run audit: after the last recovery every shard's WAL must
-         agree with the decision log, exactly as in each matrix cell *)
-      && Shard.audit sh = [])
+  Oracle.seed_db ~rows:seed_rows odb;
+  let replay stmts =
+    ignore (Db.exec_batch odb stmts);
+    Shard.exec_batch osh stmts
   in
-  Hashtbl.iter
-    (fun key (tokened, reply) ->
-      match reply with
-      | Error _ -> ()
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None -> identical := false
-          | Some oracle_outs ->
-              if
-                not
-                  ((List.length outs = List.length oracle_outs
-                   && List.for_all2 served_same_outcome outs oracle_outs)
-                  || (tokened && served_ack_shaped outs))
-              then identical := false))
-    delivered;
-  let total = served_sessions * served_batches_per_session in
-  let torn =
-    (total - Hashtbl.length delivered)
-    + (match Adm.state srv with Adm.Serving -> 0 | _ -> 1)
+  let v =
+    Oracle.check_server srv ~replay ~token_durable:(Shard.token_applied sh)
+      history
   in
+  (* end-of-run audit: after the last recovery every shard's WAL must
+     agree with the decision log, exactly as in each matrix cell *)
+  let audit = List.length (Shard.audit sh) in
   let s = Adm.stats srv in
-  let errors =
-    Hashtbl.fold
-      (fun _ (_, r) acc -> match r with Error _ -> acc + 1 | Ok _ -> acc)
-      delivered 0
-  in
-  let ss = Shard.stats sh in
   {
     sh_sessions = served_sessions;
-    sh_batches = total;
-    sh_errors = errors;
-    sh_crashes = s.Adm.crashes;
-    sh_recoveries = s.Adm.recoveries;
-    sh_torn_inflight = s.Adm.torn_inflight;
-    sh_redriven = s.Adm.redriven;
-    sh_durable_acks = s.Adm.durable_acks;
-    sh_torn = torn;
-    sh_two_pc = ss.Shard.two_pc_commits;
-    sh_one_pc = ss.Shard.one_pc_commits;
-    sh_aborts = ss.Shard.dtxn_aborts;
-    sh_gathers = ss.Shard.gathered_reads;
-    sh_fanout = ss.Shard.fanout_writes;
-    sh_decisions = ss.Shard.decisions;
-    sh_identical = !identical;
+    sh_batches = history.Oracle.submitted;
+    sh_stats = s;
+    sh_shard = Shard.stats sh;
+    sh_errors = v.Oracle.errors;
+    sh_torn = v.Oracle.torn;
+    sh_ryw_violations = s.Adm.ryw_violations + v.Oracle.ryw_violations;
+    sh_lost_acked_writes = v.Oracle.lost_acked_writes;
+    sh_audit_violations = audit;
+    sh_identical =
+      v.Oracle.identical
+      && Shard.shard_fingerprints sh = Shard.shard_fingerprints osh
+      && Shard.logical_fingerprint sh = Shard.logical_fingerprint_db odb
+      && audit = 0;
   }
 
 (* --- single-shard equivalence --------------------------------------------- *)
@@ -554,10 +506,7 @@ let served_sharded ?(crash = 0.06) ?(shards = 3) ?(checkpoint_every = 2) () =
 let single_shard_identical () =
   let sh = Shard.create ~checkpoint_every:4 ~shards:1 () in
   seed_shard sh;
-  let db = Db.create () in
-  Db.enable_durability ~checkpoint_every:4 ~wal:(Wal.mem ())
-    ~checkpoint:(Wal.mem ()) db;
-  seed_db db;
+  let db = Oracle.durable_db ~rows:seed_rows ~checkpoint_every:4 in
   List.iteri
     (fun i stmts ->
       Shard.atomically ~token:(token_of i) sh (fun () ->
@@ -571,37 +520,45 @@ let single_shard_identical () =
 
 (* --- JSON + report --------------------------------------------------------- *)
 
-let json_of cfgs served single_ok =
+let json_of ~replicas cfgs sv single_ok =
+  let s = sv.sh_stats and ss = sv.sh_shard in
   let b = Buffer.create 2048 in
-  Buffer.add_string b "{\n  \"experiment\": \"sharding\",\n  \"configs\": [\n";
+  Buffer.add_string b
+    (Printf.sprintf "{\n  \"experiment\": \"%s\",\n  \"configs\": [\n"
+       (if replicas = 0 then "sharding" else "repl_sharding"));
   List.iteri
     (fun i c ->
       if i > 0 then Buffer.add_string b ",\n";
       Buffer.add_string b
         (Printf.sprintf
-           "    {\"shards\": %d, \"checkpoint_every\": %d, \"cases\": %d, \
-            \"acked\": %d, \"applied\": %d, \"aborted\": %d, \
+           "    {\"shards\": %d, \"replicas_per_shard\": %d, \
+            \"checkpoint_every\": %d, \"cases\": %d, \"acked\": %d, \
+            \"applied\": %d, \"aborted\": %d, \"promotions\": %d, \
             \"in_doubt_committed\": %d, \"in_doubt_aborted\": %d, \
             \"atomicity_violations\": %d, \"lost_writes\": %d, \
-            \"audit_violations\": %d, \"misfires\": %d, \"resume_exact_once\": \
-            %d, \"final_ok\": %d, \"replay_identical\": %d}"
-           c.cfg_shards c.cfg_checkpoint_every c.cfg_cases c.cfg_acked
-           c.cfg_applied c.cfg_aborted c.cfg_in_doubt_committed
-           c.cfg_in_doubt_aborted c.cfg_atomicity_violations c.cfg_lost_writes
-           c.cfg_audit_violations c.cfg_misfires c.cfg_resume_ok c.cfg_final_ok
-           c.cfg_replay_ok))
+            \"audit_violations\": %d, \"prepared_survival_violations\": %d, \
+            \"misfires\": %d, \"resume_exact_once\": %d, \"final_ok\": %d, \
+            \"replay_identical\": %d}"
+           c.cfg_shards c.cfg_replicas c.cfg_checkpoint_every c.cfg_cases
+           c.cfg_acked c.cfg_applied c.cfg_aborted c.cfg_promotions
+           c.cfg_in_doubt_committed c.cfg_in_doubt_aborted
+           c.cfg_atomicity_violations c.cfg_lost_writes c.cfg_audit_violations
+           c.cfg_prepared_survival_violations c.cfg_misfires c.cfg_resume_ok
+           c.cfg_final_ok c.cfg_replay_ok))
     cfgs;
   let total f = List.fold_left (fun acc c -> acc + f c) 0 cfgs in
-  let cases = total (fun c -> c.cfg_cases) in
   let atomicity = total (fun c -> c.cfg_atomicity_violations) in
   let lost = total (fun c -> c.cfg_lost_writes) in
-  let torn =
-    total (fun c -> c.cfg_audit_violations) + total (fun c -> c.cfg_misfires)
-  in
-  let replay_ok = List.for_all (fun c -> c.cfg_replay_ok = c.cfg_cases) cfgs in
-  let resume_ok =
+  let survival = total (fun c -> c.cfg_prepared_survival_violations) in
+  let audit = total (fun c -> c.cfg_audit_violations) in
+  let promotions = total (fun c -> c.cfg_promotions) in
+  let torn = audit + total (fun c -> c.cfg_misfires) in
+  let matrix_ok =
     List.for_all
-      (fun c -> c.cfg_resume_ok = c.cfg_cases && c.cfg_final_ok = c.cfg_cases)
+      (fun c ->
+        c.cfg_replay_ok = c.cfg_cases
+        && c.cfg_resume_ok = c.cfg_cases
+        && c.cfg_final_ok = c.cfg_cases)
       cfgs
   in
   Buffer.add_string b
@@ -609,10 +566,14 @@ let json_of cfgs served single_ok =
        "\n\
        \  ],\n\
        \  \"cases_total\": %d,\n\
+       \  \"promotions_total\": %d,\n\
        \  \"atomicity_violations\": %d,\n\
        \  \"lost_writes\": %d,\n\
+       \  \"prepared_survival_violations\": %d,\n\
+       \  \"audit_violations\": %d,\n\
        \  \"torn_batches\": %d,\n"
-       cases atomicity lost torn);
+       (total (fun c -> c.cfg_cases))
+       promotions atomicity lost survival audit torn);
   Buffer.add_string b
     (Printf.sprintf
        "  \"served\": {\"sessions\": %d, \"batches\": %d, \"errors\": %d, \
@@ -620,101 +581,142 @@ let json_of cfgs served single_ok =
         \"redriven\": %d, \"durable_acks\": %d, \"torn\": %d, \
         \"two_pc_commits\": %d, \"one_pc_commits\": %d, \"dtxn_aborts\": %d, \
         \"gathered_reads\": %d, \"fanout_writes\": %d, \"decisions\": %d, \
+        \"failovers\": %d, \"replica_read_batches\": %d, \"ryw_violations\": \
+        %d, \"lost_acked_writes\": %d, \"audit_violations\": %d, \
         \"results_identical\": %b},\n"
-       served.sh_sessions served.sh_batches served.sh_errors served.sh_crashes
-       served.sh_recoveries served.sh_torn_inflight served.sh_redriven
-       served.sh_durable_acks served.sh_torn served.sh_two_pc served.sh_one_pc
-       served.sh_aborts served.sh_gathers served.sh_fanout served.sh_decisions
-       served.sh_identical);
+       sv.sh_sessions sv.sh_batches sv.sh_errors s.Adm.crashes
+       s.Adm.recoveries s.Adm.torn_inflight s.Adm.redriven s.Adm.durable_acks
+       sv.sh_torn ss.Shard.two_pc_commits ss.Shard.one_pc_commits
+       ss.Shard.dtxn_aborts ss.Shard.gathered_reads ss.Shard.fanout_writes
+       ss.Shard.decisions s.Adm.failovers s.Adm.replica_read_batches
+       sv.sh_ryw_violations sv.sh_lost_acked_writes sv.sh_audit_violations
+       sv.sh_identical);
+  Option.iter
+    (fun ok ->
+      Buffer.add_string b
+        (Printf.sprintf "  \"single_shard_identical\": %b,\n" ok))
+    single_ok;
   Buffer.add_string b
-    (Printf.sprintf "  \"single_shard_identical\": %b,\n" single_ok);
-  Buffer.add_string b
-    (Printf.sprintf "  \"results_identical\": %b\n}\n"
-       (replay_ok && resume_ok && served.sh_identical && single_ok
-      && atomicity = 0 && lost = 0 && torn = 0));
+    (Printf.sprintf
+       "  \"ryw_violations\": %d,\n\
+       \  \"shard_primary_failovers\": %d,\n\
+       \  \"results_identical\": %b\n\
+        }\n"
+       sv.sh_ryw_violations
+       (promotions + s.Adm.failovers)
+       (matrix_ok && sv.sh_identical
+       && Option.value ~default:true single_ok
+       && atomicity = 0 && lost = 0 && survival = 0 && torn = 0
+       && sv.sh_ryw_violations = 0
+       && sv.sh_lost_acked_writes = 0
+       && sv.sh_torn = 0));
   Buffer.contents b
 
-let sharding ?json () =
-  Report.section "Sharding: crash-safe two-phase commit across partitions";
+let sharding ~replicas ?json () =
+  Report.section
+    (if replicas = 0 then
+       "Sharding: crash-safe two-phase commit across partitions"
+     else "Replicated shards: per-shard groups surviving failover mid-2PC");
   Printf.printf
-    "  (%d write batches two-phase-committed across hash partitions; a \
-     scripted crash swept\n\
-    \   over every 2PC protocol step x every batch x %s shard counts x %d \
-     checkpoint\n\
+    "  (%d write batches two-phase-committed across hash partitions%s; a \
+     scripted crash\n\
+    \   swept over every 2PC protocol step x every batch x %s shard counts x \
+     %d checkpoint\n\
     \   intervals; each surviving state must be exactly pre- or post-batch, \
-     tokens re-driven\n\
-    \   to exactly-once completion, per-shard WALs audited against the \
-     decision log)\n"
+     decided transactions\n\
+    \   must survive, tokens re-driven to exactly-once completion, per-shard \
+     WALs audited\n\
+    \   against the decision log)\n"
     n_batches
+    (if replicas = 0 then ""
+     else
+       Printf.sprintf
+         ", every shard a %d-follower group (a crash promotes; plus a \
+          follower-death axis)"
+         replicas)
     (String.concat "/" (List.map string_of_int shard_counts))
     (List.length checkpoint_intervals);
-  let cfgs = ref [] in
-  List.iter
-    (fun shards ->
-      List.iter
-        (fun ck ->
-          let c = run_config ~shards ~checkpoint_every:ck in
-          cfgs := !cfgs @ [ c ];
-          Report.subsection
-            (Printf.sprintf "%d shards, checkpoint %s" shards
-               (if ck = 0 then "never" else Printf.sprintf "every %d" ck));
-          Report.table
-            ~header:[ "crash point"; "cases"; "acked"; "applied" ]
-            (List.map
-               (fun (label, cases, acked, applied) ->
-                 [
-                   label;
-                   string_of_int cases;
-                   string_of_int acked;
-                   string_of_int applied;
-                 ])
-               c.cfg_by_role);
-          Printf.printf
-            "  in-doubt: %d committed / %d aborted by recovery; atomicity \
-             violations %d, lost\n\
-            \  acked writes %d, audit violations %d, exact-once resume %d/%d, \
-             replay identical %d/%d\n"
-            c.cfg_in_doubt_committed c.cfg_in_doubt_aborted
-            c.cfg_atomicity_violations c.cfg_lost_writes c.cfg_audit_violations
-            c.cfg_resume_ok c.cfg_cases c.cfg_replay_ok c.cfg_cases)
-        checkpoint_intervals)
-    shard_counts;
-  let cfgs = !cfgs in
-  Report.subsection "served: async multi-session server over shards";
-  let sv = served_sharded () in
-  Printf.printf
-    "  (%d sessions x %d batches on the admission layer over %d shards, \
-     seeded random server\n\
-    \   crashes; whole-process recovery = decision log first, then every \
-     shard's in-doubt\n\
-    \   resolution; results checked against same-count and unsharded serial \
-     replays)\n"
-    sv.sh_sessions served_batches_per_session 3;
-  Printf.printf
-    "  crashes %d (recoveries %d), torn in-flight %d, re-driven %d, durable \
-     acks %d, errors %d\n\
-    \  2pc commits %d, 1pc commits %d, aborts %d, gathered reads %d, fanout \
-     writes %d,\n\
-    \  decisions %d, torn at quiescence %d, results identical: %b\n"
-    sv.sh_crashes sv.sh_recoveries sv.sh_torn_inflight sv.sh_redriven
-    sv.sh_durable_acks sv.sh_errors sv.sh_two_pc sv.sh_one_pc sv.sh_aborts
-    sv.sh_gathers sv.sh_fanout sv.sh_decisions sv.sh_torn sv.sh_identical;
-  let single_ok = single_shard_identical () in
-  let cases = List.fold_left (fun acc c -> acc + c.cfg_cases) 0 cfgs in
-  let atomicity =
-    List.fold_left (fun acc c -> acc + c.cfg_atomicity_violations) 0 cfgs
+  let cfgs =
+    List.concat_map
+      (fun shards ->
+        List.map
+          (fun ck ->
+            let c = run_config ~replicas ~shards ~checkpoint_every:ck in
+            Report.subsection
+              (Printf.sprintf "%d shards x %d replicas, checkpoint %s" shards
+                 replicas
+                 (if ck = 0 then "never" else Printf.sprintf "every %d" ck));
+            Report.table
+              ~header:
+                [ "crash point"; "cases"; "acked"; "applied"; "promotions" ]
+              (List.map
+                 (fun (label, cases, acked, applied, promotions) ->
+                   [
+                     label;
+                     string_of_int cases;
+                     string_of_int acked;
+                     string_of_int applied;
+                     string_of_int promotions;
+                   ])
+                 c.cfg_by_role);
+            Printf.printf
+              "  in-doubt: %d committed / %d aborted by recovery; atomicity \
+               violations %d,\n\
+              \  lost acked writes %d, audit violations %d, prepared-survival \
+               violations %d,\n\
+              \  exact-once resume %d/%d, replay identical %d/%d\n"
+              c.cfg_in_doubt_committed c.cfg_in_doubt_aborted
+              c.cfg_atomicity_violations c.cfg_lost_writes
+              c.cfg_audit_violations c.cfg_prepared_survival_violations
+              c.cfg_resume_ok c.cfg_cases c.cfg_replay_ok c.cfg_cases;
+            c)
+          checkpoint_intervals)
+      shard_counts
   in
-  let lost = List.fold_left (fun acc c -> acc + c.cfg_lost_writes) 0 cfgs in
+  Report.subsection "served: async multi-session server over shards";
+  let sv = served ~replicas () in
+  let s = sv.sh_stats and ss = sv.sh_shard in
+  Printf.printf
+    "  (%d closed-loop sessions x %d batches over 3 shards x %d replicas, \
+     seeded random server\n\
+    \   crashes; whole-process recovery resolves the decision log first, \
+     then every shard, by\n\
+    \   promotion when replicated; the history is checked by the \
+     serial-replay oracle)\n\
+    \  crashes %d, shard failovers %d, torn in-flight %d, re-driven %d, \
+     durable acks %d,\n\
+    \  2pc / 1pc commits %d / %d, gathered reads %d, replica-served read \
+     batches %d,\n\
+    \  errors %d, torn %d, RYW violations %d, lost acked writes %d, audit \
+     violations %d,\n\
+    \  results identical: %b\n"
+    sv.sh_sessions served_batches_per_session replicas s.Adm.crashes
+    s.Adm.failovers s.Adm.torn_inflight s.Adm.redriven s.Adm.durable_acks
+    ss.Shard.two_pc_commits ss.Shard.one_pc_commits ss.Shard.gathered_reads
+    s.Adm.replica_read_batches sv.sh_errors sv.sh_torn sv.sh_ryw_violations
+    sv.sh_lost_acked_writes sv.sh_audit_violations sv.sh_identical;
+  let single_ok =
+    if replicas = 0 then Some (single_shard_identical ()) else None
+  in
+  let total f = List.fold_left (fun acc c -> acc + f c) 0 cfgs in
   Printf.printf
     "\n\
-    \  crash matrix: %d cases, atomicity violations %d, lost acked writes \
-     %d,\n\
-    \  single-shard deployment byte-identical to unsharded: %b\n"
-    cases atomicity lost single_ok;
+    \  crash matrix: %d cases, %d promotions, atomicity violations %d, lost \
+     acked writes %d,\n\
+    \  prepared-survival violations %d\n"
+    (total (fun c -> c.cfg_cases))
+    (total (fun c -> c.cfg_promotions))
+    (total (fun c -> c.cfg_atomicity_violations))
+    (total (fun c -> c.cfg_lost_writes))
+    (total (fun c -> c.cfg_prepared_survival_violations));
+  Option.iter
+    (Printf.printf
+       "  single-shard deployment byte-identical to unsharded: %b\n")
+    single_ok;
   Option.iter
     (fun path ->
       let oc = open_out path in
-      output_string oc (json_of cfgs sv single_ok);
+      output_string oc (json_of ~replicas cfgs sv single_ok);
       close_out oc;
       Printf.printf "  wrote %s\n" path)
     json

@@ -139,7 +139,7 @@ and t = {
          with the old timeline *)
   mutable shard_fo_seen : int;
       (* how many of the shard router's promotions this layer has already
-         surfaced in [rev_failovers] / [s_failovers] *)
+         counted in [s_failovers] *)
   (* stats *)
   mutable s_batches : int;
   mutable s_read_batches : int;
@@ -479,23 +479,19 @@ let shard_reads t sh sessions sels =
   outs
 
 (* Promotions performed inside the router (a shard primary died at a 2PC
-   step, or a whole-process recovery failed over every shard): surface
-   each one in the admission failover log, and re-point the shard-0
-   anchor — the engine object in slot 0 changes when that shard's primary
-   is promoted. *)
+   step, or a whole-process recovery failed over every shard): count each
+   one in [failovers], and re-point the shard-0 anchor — the engine object
+   in slot 0 changes when that shard's primary is promoted.  They add no
+   [rev_failovers] cutoff: every shard commit is quorum-acked inside the
+   router before control returns, so a promotion discards no logged
+   execution. *)
 let sync_shard_failovers t =
   match t.shard with
   | Some sh when Shard.replicated sh ->
       let fos = Shard.failovers sh in
       let n = List.length fos in
       if n > t.shard_fo_seen then begin
-        List.iteri
-          (fun i ((_shard, _rid, lsn) : int * int * int) ->
-            if i >= t.shard_fo_seen then begin
-              t.s_failovers <- t.s_failovers + 1;
-              t.rev_failovers <- (t.epoch, lsn) :: t.rev_failovers
-            end)
-          fos;
+        t.s_failovers <- t.s_failovers + (n - t.shard_fo_seen);
         t.shard_fo_seen <- n;
         t.db <- Shard.shard_db sh 0
       end

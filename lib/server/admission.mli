@@ -220,10 +220,9 @@ val create :
     every read ([ryw_violations] counts floors a later read found
     regressed — an acknowledged write lost in a promotion; must be 0);
     counts read flushes whose shard fetches were served by caught-up
-    followers in [replica_read_batches]; and surfaces every promotion the
+    followers in [replica_read_batches]; and counts every promotion the
     router performs — mid-protocol or during whole-process recovery — in
-    {!failover_log} and [failovers], re-pointing its shard-0 anchor at the
-    promoted engine. *)
+    [failovers], re-pointing its shard-0 anchor at the promoted engine. *)
 
 val sim : t -> Sloth_net.Des.t
 val database : t -> Sloth_storage.Database.t
@@ -291,17 +290,15 @@ val session_write_vector : session -> int list
     component counts an [ryw_violations]. *)
 
 val failover_log : t -> (int * int) list
-(** One [(epoch, cutoff_lsn)] pair per failover, oldest first: after the
-    crash that opened [epoch], the promoted replica stood at [cutoff_lsn].
-    An execution logged in an earlier epoch with [e_lsn > cutoff_lsn] was
-    never acknowledged and its effects were discarded with the old
-    timeline — the serial-replay oracle drops exactly those entries.
-
-    Under replicated sharding there is one entry per {e shard} promotion
-    (mid-protocol or in whole-process recovery), carrying the promoted
-    shard primary's local LSN.  No executions are discarded in that mode:
-    every acknowledged shard commit is quorum-durable before its ack, so
-    the log is an audit trail, not a cutoff. *)
+(** One [(epoch, cutoff_lsn)] pair per failover that can discard logged
+    executions, oldest first: after the crash that opened [epoch], the
+    promoted replica stood at [cutoff_lsn].  An execution logged in an
+    earlier epoch with [e_lsn > cutoff_lsn] was never acknowledged and its
+    effects were discarded with the old timeline — the serial-replay
+    oracle drops exactly those entries.  Only standalone [?replication]
+    adds pairs: a replicated shard router's promotions (counted in
+    [failovers]) discard nothing, because every shard commit is
+    quorum-acked before control returns from the router. *)
 
 val log : t -> entry list
 (** Every successfully executed batch in execution order — the

@@ -105,3 +105,8 @@ val plan_of_select :
     executing it (the [explain] entry point).  WITH statements plan against
     the CTE's (empty) working-table overlay, so the fixpoint's legs appear
     in the returned plan. *)
+
+val has_agg : Sloth_sql.Ast.expr -> bool
+(** Whether the expression contains an aggregate call anywhere in its
+    tree (not descending into IN-subqueries) — what makes a SELECT item
+    list aggregating. *)

@@ -844,15 +844,6 @@ let gather t selects =
    items, one partial row per shard. *)
 type read_plan = On of int | Scatter_rows | Scatter_aggs of Ast.agg list | Gather
 
-let rec has_agg = function
-  | Ast.Agg _ -> true
-  | Ast.Lit _ | Ast.Col _ -> false
-  | Ast.Binop (_, a, b) -> has_agg a || has_agg b
-  | Ast.Unop (_, e) | Ast.Is_null { e; _ } | Ast.Like (e, _) -> has_agg e
-  | Ast.In_select (e, _) -> has_agg e
-  | Ast.In_list (e, es) -> List.exists has_agg (e :: es)
-  | Ast.Between { e; lo; hi } -> List.exists has_agg [ e; lo; hi ]
-
 let read_plan t (s : Ast.select) =
   let pinned n = schema_of t n <> None && pk_of t n = None in
   let partial = function
@@ -878,7 +869,9 @@ let read_plan t (s : Ast.select) =
             then Scatter_aggs aggs
             else if
               List.exists
-                (function Ast.Star -> false | Ast.Sel_expr (e, _) -> has_agg e)
+                (function
+                  | Ast.Star -> false
+                  | Ast.Sel_expr (e, _) -> Executor.has_agg e)
                 s.sel_items
             then Gather
             else Scatter_rows)

@@ -11,7 +11,6 @@ module Replication = Sloth_storage.Replication
 module Two_pc = Sloth_storage.Two_pc
 module Fault = Sloth_net.Fault
 module Sh = Sloth_harness.Sharding
-module Rsh = Sloth_harness.Repl_sharding
 
 let deployment ?(replicas = 2) ?(checkpoint_every = 4) shards =
   let sh =
@@ -202,32 +201,35 @@ let test_kill_follower_guards () =
 (* --- matrix cell ----------------------------------------------------------- *)
 
 let test_matrix_cell () =
-  let c = Rsh.run_config ~shards:2 ~checkpoint_every:4 in
-  Alcotest.(check int) "atomicity" 0 c.Rsh.rc_atomicity_violations;
-  Alcotest.(check int) "lost writes" 0 c.Rsh.rc_lost_writes;
-  Alcotest.(check int) "audit" 0 c.Rsh.rc_audit_violations;
+  let c = Sh.run_config ~replicas:2 ~shards:2 ~checkpoint_every:4 in
+  Alcotest.(check int) "80 cases" 80 c.Sh.cfg_cases;
+  Alcotest.(check int) "atomicity" 0 c.Sh.cfg_atomicity_violations;
+  Alcotest.(check int) "lost writes" 0 c.Sh.cfg_lost_writes;
+  Alcotest.(check int) "audit" 0 c.Sh.cfg_audit_violations;
   Alcotest.(check int)
-    "prepared survival" 0 c.Rsh.rc_prepared_survival_violations;
-  Alcotest.(check int) "misfires" 0 c.Rsh.rc_misfires;
-  Alcotest.(check int) "resume" c.Rsh.rc_cases c.Rsh.rc_resume_ok;
-  Alcotest.(check int) "final" c.Rsh.rc_cases c.Rsh.rc_final_ok;
-  Alcotest.(check int) "replay" c.Rsh.rc_cases c.Rsh.rc_replay_ok;
-  Alcotest.(check bool) "promotions happened" true (c.Rsh.rc_promotions > 0)
+    "prepared survival" 0 c.Sh.cfg_prepared_survival_violations;
+  Alcotest.(check int) "misfires" 0 c.Sh.cfg_misfires;
+  Alcotest.(check int) "resume" c.Sh.cfg_cases c.Sh.cfg_resume_ok;
+  Alcotest.(check int) "final" c.Sh.cfg_cases c.Sh.cfg_final_ok;
+  Alcotest.(check int) "replay" c.Sh.cfg_cases c.Sh.cfg_replay_ok;
+  Alcotest.(check bool) "promotions happened" true (c.Sh.cfg_promotions > 0)
 
 (* --- served --------------------------------------------------------------- *)
 
 let test_served_repl_invariants () =
-  let sv = Rsh.served_repl_sharded () in
-  Alcotest.(check int) "torn" 0 sv.Rsh.rv_torn;
-  Alcotest.(check int) "ryw violations" 0 sv.Rsh.rv_ryw_violations;
-  Alcotest.(check int) "lost acked writes" 0 sv.Rsh.rv_lost_acked_writes;
-  Alcotest.(check int) "audit" 0 sv.Rsh.rv_audit_violations;
-  Alcotest.(check bool) "identical" true sv.Rsh.rv_identical;
-  Alcotest.(check bool) "failovers happened" true (sv.Rsh.rv_failovers >= 1)
+  let sv = Sh.served ~replicas:2 () in
+  Alcotest.(check int) "torn" 0 sv.Sh.sh_torn;
+  Alcotest.(check int) "ryw violations" 0 sv.Sh.sh_ryw_violations;
+  Alcotest.(check int) "lost acked writes" 0 sv.Sh.sh_lost_acked_writes;
+  Alcotest.(check int) "audit" 0 sv.Sh.sh_audit_violations;
+  Alcotest.(check bool) "identical" true sv.Sh.sh_identical;
+  Alcotest.(check bool)
+    "failovers happened" true
+    (sv.Sh.sh_stats.Sloth_server.Admission.failovers >= 1)
 
 let test_served_repl_deterministic () =
-  let a = Rsh.served_repl_sharded () in
-  let b = Rsh.served_repl_sharded () in
+  let a = Sh.served ~replicas:2 () in
+  let b = Sh.served ~replicas:2 () in
   Alcotest.(check bool) "identical reruns" true (a = b)
 
 (* The admission guard: a standalone replication shipper still cannot ride

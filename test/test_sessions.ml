@@ -12,6 +12,7 @@ module Fault = Sloth_net.Fault
 module Adm = Sloth_server.Admission
 module Session = Sloth_driver.Session
 module Parser = Sloth_sql.Parser
+module Oracle = Sloth_harness.Oracle
 
 let parse = Parser.parse
 let parse_all = List.map parse
@@ -53,13 +54,7 @@ let contains_substring s sub =
   let rec at i = i + m <= n && (String.sub s i m = sub || at (i + 1)) in
   at 0
 
-let same_outcome (a : Db.outcome) (b : Db.outcome) =
-  Rs.columns a.rs = Rs.columns b.rs
-  && Rs.rows a.rs = Rs.rows b.rs
-  && a.rows_affected = b.rows_affected
-
-let same_outcomes a b =
-  List.length a = List.length b && List.for_all2 same_outcome a b
+let outcomes_equal = List.equal Oracle.same_outcome
 
 (* --- futures -------------------------------------------------------------- *)
 
@@ -118,7 +113,7 @@ let test_single_session_reads () =
   match Session.peek h with
   | Some (Ok outs) ->
       Alcotest.(check bool) "served batch equals direct execution" true
-        (same_outcomes outs expected);
+        (outcomes_equal outs expected);
       Alcotest.(check int) "latency recorded" 1
         (List.length (Session.latencies ses))
   | Some (Error e) -> Alcotest.fail e
@@ -146,7 +141,7 @@ let test_cross_client_sharing () =
   let shared_r, shared = arm ~share:true in
   let unshared_r, unshared = arm ~share:false in
   Alcotest.(check bool) "same results with and without sharing" true
-    (List.for_all2 same_outcomes shared_r unshared_r);
+    (List.for_all2 outcomes_equal shared_r unshared_r);
   Alcotest.(check int) "one flush covers all four clients" 1 shared.Adm.flushes;
   Alcotest.(check int) "all four coalesced" 4 shared.Adm.coalesced;
   Alcotest.(check int) "three of four answered without scanning" 3
@@ -593,6 +588,76 @@ let gen_batch rng =
           true )
       else ([ "BEGIN"; gen_write rng ], true)
 
+(* The paced driver: each session submits its next batch [think] ms after
+   its previous *submission*, so several of its batches can be in flight
+   at once — coverage the closed-loop {!Oracle.drive} of the bench arms
+   deliberately lacks.  Tokens are numbered in submission order. *)
+let paced ~rng ~fault_of srv schedule =
+  let sim = Adm.sim srv in
+  let delivered = ref [] in
+  let token = ref 0 in
+  List.iteri
+    (fun si batches ->
+      let ses = Adm.open_session ?fault:(fault_of si) srv in
+      let session = Adm.session_id ses in
+      let rec go seq = function
+        | [] -> ()
+        | (sqls, tokened, think) :: rest ->
+            let tok =
+              if tokened then (incr token; Some (Printf.sprintf "b%d" !token))
+              else None
+            in
+            let stmts = parse_all sqls in
+            let fut = Adm.submit ses ?token:tok stmts in
+            Des.Future.on_resolve fut (fun r ->
+                delivered :=
+                  {
+                    Oracle.d_session = session;
+                    d_seq = seq;
+                    d_token = tok;
+                    d_stmts = stmts;
+                    d_reply = r;
+                  }
+                  :: !delivered);
+            Des.delay sim think (fun () -> go (seq + 1) rest)
+      in
+      Des.at sim (Random.State.float rng 2.0) (fun () -> go 0 batches))
+    schedule;
+  run sim;
+  {
+    Oracle.submitted =
+      List.fold_left (fun a b -> a + List.length b) 0 schedule;
+    delivered = List.rev !delivered;
+  }
+
+(* Replay the execution log serially on [twin] through the shared oracle
+   and fail on its first finding: every future resolved, every delivered
+   [Ok] matches its replay (a synthesized durable ack is accepted by shape
+   for a batch whose token [token_durable] vouches for), and no logged
+   batch fails on replay.  The caller compares the final fingerprints. *)
+let judge ?(across = "") srv ~twin ~token_durable history =
+  let v =
+    Oracle.check_server srv ~replay:(Db.exec_batch twin) ~token_durable
+      history
+  in
+  if v.Oracle.torn <> 0 then
+    QCheck.Test.fail_reportf "only %d of %d batches resolved"
+      (List.length history.Oracle.delivered)
+      history.Oracle.submitted;
+  (match v.Oracle.divergences with
+  | [] -> ()
+  | Oracle.Replay_failed (_, _, msg) :: _ ->
+      QCheck.Test.fail_reportf
+        "serial replay diverged: logged batch failed with %s" msg
+  | Oracle.Unlogged (s, q) :: _ ->
+      QCheck.Test.fail_reportf
+        "session %d seq %d delivered Ok but was never logged" s q
+  | Oracle.Differs (s, q) :: _ ->
+      QCheck.Test.fail_reportf
+        "session %d seq %d: delivered results differ from serial replay%s" s
+        q across);
+  v
+
 let run_case ~case_seed ~sessions ~batches_per_session ~fault_rate =
   fresh_id := 0;
   let rng = Random.State.make [| 0xfacade; case_seed |] in
@@ -609,65 +674,17 @@ let run_case ~case_seed ~sessions ~batches_per_session ~fault_rate =
   let srv = Adm.create ~sim ~db ~window_ms:1.0 ~retry:{ Sloth_net.Retry_policy.served with max_attempts = 40 }
       ()
   in
-  let delivered = Hashtbl.create 64 in
-  let token = ref 0 in
-  List.iteri
-    (fun si batches ->
-      let fault =
-        if fault_rate > 0.0 then
-          Some (Fault.create (Fault.uniform ~seed:(case_seed + si) fault_rate))
-        else None
-      in
-      let ses = Adm.open_session ?fault srv in
-      let rec go seq = function
-        | [] -> ()
-        | (sqls, tokened, think) :: rest ->
-            let tok =
-              if tokened then (incr token; Some (Printf.sprintf "b%d" !token))
-              else None
-            in
-            let fut = Adm.submit ses ?token:tok (parse_all sqls) in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) r);
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (Random.State.float rng 2.0) (fun () -> go 0 batches))
-    schedule;
-  run sim;
-  (* serial replay of the execution log on a twin database *)
-  let oracle = setup () in
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      match Db.exec_batch oracle e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error msg ->
-          QCheck.Test.fail_reportf
-            "serial replay diverged: logged batch failed with %s" msg)
-    (Adm.log srv);
-  let total = List.length schedule |> fun _ ->
-    List.fold_left (fun a b -> a + List.length b) 0 schedule
+  let fault_of si =
+    if fault_rate > 0.0 then
+      Some (Fault.create (Fault.uniform ~seed:(case_seed + si) fault_rate))
+    else None
   in
-  if Hashtbl.length delivered <> total then
-    QCheck.Test.fail_reportf "only %d of %d batches resolved"
-      (Hashtbl.length delivered) total;
-  Hashtbl.iter
-    (fun key reply ->
-      match reply with
-      | Error _ -> () (* rolled back / rejected / retries exhausted *)
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None ->
-              QCheck.Test.fail_reportf
-                "session %d seq %d delivered Ok but was never logged"
-                (fst key) (snd key)
-          | Some oracle_outs ->
-              if not (same_outcomes outs oracle_outs) then
-                QCheck.Test.fail_reportf
-                  "session %d seq %d: delivered results differ from serial \
-                   replay"
-                  (fst key) (snd key)))
-    delivered;
+  let history = paced ~rng ~fault_of srv schedule in
+  (* serial replay of the execution log on a twin database; a non-durable
+     engine keeps no token registry, so no reply is accepted as a durable
+     ack and lost-write counts are meaningless here *)
+  let oracle = setup () in
+  ignore (judge srv ~twin:oracle ~token_durable:(fun _ -> false) history);
   if Db.fingerprint db <> Db.fingerprint oracle then
     QCheck.Test.fail_reportf
       "final database differs from serial replay of the execution log";
@@ -708,14 +725,8 @@ let fuzz_serial_equivalence_faults =
    (empty result sets, zero rows affected) is accepted as long as the batch
    is in the log — the ack asserts "applied", not the outcome values.  The
    final fingerprint comparison then proves the write landed exactly
-   once. *)
-
-let ack_shaped outs =
-  outs <> []
-  && List.for_all
-       (fun (o : Db.outcome) ->
-         o.Db.rows_affected = 0 && Rs.rows o.Db.rs = [])
-       outs
+   once, and every acknowledged tokened atomic write must be vouched for
+   by the recovered database's durable token registry. *)
 
 let run_crash_case ~case_seed ~sessions ~batches_per_session ~leg =
   fresh_id := 0;
@@ -742,27 +753,11 @@ let run_crash_case ~case_seed ~sessions ~batches_per_session ~leg =
   let crash_trip = 1 + (case_seed mod 2) in
   Fault.script victim_fault ~first:crash_trip ~last:crash_trip
     Fault.Server_crash leg;
-  let delivered = Hashtbl.create 64 in
-  let token = ref 0 in
-  List.iteri
-    (fun si batches ->
-      let fault = if si = 0 then Some victim_fault else None in
-      let ses = Adm.open_session ?fault srv in
-      let rec go seq = function
-        | [] -> ()
-        | (sqls, tokened, think) :: rest ->
-            let tok =
-              if tokened then (incr token; Some (Printf.sprintf "b%d" !token))
-              else None
-            in
-            let fut = Adm.submit ses ?token:tok (parse_all sqls) in
-            Des.Future.on_resolve fut (fun r ->
-                Hashtbl.replace delivered (si, seq) (tokened, r));
-            Des.delay sim think (fun () -> go (seq + 1) rest)
-      in
-      Des.at sim (Random.State.float rng 2.0) (fun () -> go 0 batches))
-    schedule;
-  run sim;
+  let history =
+    paced ~rng
+      ~fault_of:(fun si -> if si = 0 then Some victim_fault else None)
+      srv schedule
+  in
   let s = Adm.stats srv in
   if s.Adm.crashes <> 1 then
     QCheck.Test.fail_reportf "expected exactly one crash, got %d"
@@ -782,40 +777,14 @@ let run_crash_case ~case_seed ~sessions ~batches_per_session ~leg =
        0 (Adm.log srv));
   (* serial replay of the execution log on a plain twin database *)
   let oracle = setup () in
-  let oracle_out = Hashtbl.create 64 in
-  List.iter
-    (fun (e : Adm.entry) ->
-      match Db.exec_batch oracle e.Adm.e_stmts with
-      | outs -> Hashtbl.replace oracle_out (e.Adm.e_session, e.Adm.e_seq) outs
-      | exception Db.Sql_error msg ->
-          QCheck.Test.fail_reportf
-            "serial replay diverged: logged batch failed with %s" msg)
-    (Adm.log srv);
-  let total = List.fold_left (fun a b -> a + List.length b) 0 schedule in
-  if Hashtbl.length delivered <> total then
-    QCheck.Test.fail_reportf "only %d of %d batches resolved"
-      (Hashtbl.length delivered) total;
-  Hashtbl.iter
-    (fun key (tokened, reply) ->
-      match reply with
-      | Error _ -> () (* rolled back / rejected / window miss / gave up *)
-      | Ok outs -> (
-          match Hashtbl.find_opt oracle_out key with
-          | None ->
-              QCheck.Test.fail_reportf
-                "session %d seq %d delivered Ok but was never logged"
-                (fst key) (snd key)
-          | Some oracle_outs ->
-              if
-                not
-                  (same_outcomes outs oracle_outs
-                  || (tokened && ack_shaped outs))
-              then
-                QCheck.Test.fail_reportf
-                  "session %d seq %d: delivered results differ from serial \
-                   replay across the crash"
-                  (fst key) (snd key)))
-    delivered;
+  let v =
+    judge ~across:" across the crash" srv ~twin:oracle
+      ~token_durable:(Db.token_applied db) history
+  in
+  if v.Oracle.lost_acked_writes <> 0 then
+    QCheck.Test.fail_reportf
+      "%d acknowledged tokened writes missing from the durable registry"
+      v.Oracle.lost_acked_writes;
   if Db.fingerprint db <> Db.fingerprint oracle then
     QCheck.Test.fail_reportf
       "recovered database differs from serial replay of the execution log";

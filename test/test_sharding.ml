@@ -437,11 +437,13 @@ let test_decision_log_torn_tail () =
 (* --- the harness matrix ---------------------------------------------------- *)
 
 let test_crash_matrix_cell () =
-  let c = Sh.run_config ~shards:2 ~checkpoint_every:4 in
+  let c = Sh.run_config ~replicas:0 ~shards:2 ~checkpoint_every:4 in
   Alcotest.(check int) "70 cases" 70 c.Sh.cfg_cases;
   Alcotest.(check int) "no atomicity violations" 0 c.Sh.cfg_atomicity_violations;
   Alcotest.(check int) "no lost acked writes" 0 c.Sh.cfg_lost_writes;
   Alcotest.(check int) "audit clean" 0 c.Sh.cfg_audit_violations;
+  Alcotest.(check int)
+    "decided transactions survive" 0 c.Sh.cfg_prepared_survival_violations;
   Alcotest.(check int) "every window fired once" 0 c.Sh.cfg_misfires;
   Alcotest.(check int) "exact-once resume" c.Sh.cfg_cases c.Sh.cfg_resume_ok;
   Alcotest.(check int) "replay identical" c.Sh.cfg_cases c.Sh.cfg_replay_ok;
@@ -512,10 +514,16 @@ let test_served_durable_ack_across_shards () =
     = [ [| Sloth_storage.Value.Int a |]; [| Sloth_storage.Value.Int b |] ])
 
 let test_served_sharded_fuzz () =
-  let sv = Sh.served_sharded () in
-  Alcotest.(check bool) "crashes happened" true (sv.Sh.sh_crashes > 0);
-  Alcotest.(check bool) "2pc exercised" true (sv.Sh.sh_two_pc > 0);
+  let sv = Sh.served ~replicas:0 () in
+  Alcotest.(check bool)
+    "crashes happened" true
+    (sv.Sh.sh_stats.Adm.crashes > 0);
+  Alcotest.(check bool)
+    "2pc exercised" true
+    (sv.Sh.sh_shard.Shard.two_pc_commits > 0);
   Alcotest.(check int) "nothing torn at quiescence" 0 sv.Sh.sh_torn;
+  Alcotest.(check int) "no lost acked writes" 0 sv.Sh.sh_lost_acked_writes;
+  Alcotest.(check int) "no RYW violations" 0 sv.Sh.sh_ryw_violations;
   Alcotest.(check bool)
     "delivered results match serial replays" true sv.Sh.sh_identical
 
