@@ -284,7 +284,7 @@ let served_crash ?(crash = 0.06) ?(checkpoint_every = 2) () =
       v.Oracle.identical && Db.fingerprint db = Db.fingerprint oracle;
   }
 
-(* [mean_recovery_ms] is real wall-clock and varies run to run; it is
+(* [mean_recovery_ms] is measured CPU time and varies run to run; it is
    printed in the report table but deliberately kept out of the JSON so the
    committed artifact is reproducible byte for byte. *)
 let json_of_cells cells served =
@@ -366,7 +366,7 @@ let recovery ?json () =
            cells))
     checkpoint_intervals;
   Report.subsection "recovery time vs checkpoint interval";
-  Printf.printf "  (wall-clock; non-deterministic, indicative only)\n";
+  Printf.printf "  (process CPU time; non-deterministic, indicative only)\n";
   List.iter
     (fun ck ->
       let cells = List.filter (fun c -> c.ck = ck) !all_cells in

@@ -8,7 +8,7 @@
     either the pre-batch or the post-batch state — never a torn batch — and
     a reconnecting client re-driving its idempotency token must converge on
     the post state exactly once.  Reports recovered-state counts, replayed
-    transaction counts and (indicative, wall-clock) recovery time per
+    transaction counts and (indicative, CPU-time) recovery time per
     checkpoint interval.
 
     The [served-crash] arm runs the same durability story through the

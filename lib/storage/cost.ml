@@ -56,7 +56,7 @@ let fixpoint_ms m ~base_ms ~step_ms ~est_iterations =
 
 (* Restart latency of a crashed server, as charged to the event calendar:
    one dispatch to reopen the stores plus one row visit per redo record
-   replayed from the WAL suffix.  Deterministic, unlike the wall-clock
-   [recovery_ms] in [Database.recovery_stats]. *)
+   replayed from the WAL suffix.  Deterministic, unlike the measured CPU
+   time [recovery_ms] in [Database.recovery_stats]. *)
 let recovery_ms m ~replayed_records =
   m.fixed_ms +. (m.scan_row_ms *. float_of_int replayed_records)

@@ -53,5 +53,5 @@ val recovery_ms : model -> replayed_records:int -> float
 (** Simulated service time of a crash recovery: a fixed reopen cost plus one
     row-visit charge per redo record replayed from the WAL.  The async
     server charges this to the event calendar while it is in the
-    [Recovering] state (the wall-clock [recovery_ms] in
-    {!Database.recovery_stats} is real time and non-deterministic). *)
+    [Recovering] state (the [recovery_ms] in {!Database.recovery_stats} is
+    measured process CPU time and non-deterministic). *)

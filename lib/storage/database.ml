@@ -150,36 +150,55 @@ let wal_ddl t record =
       d.lsn <- d.lsn + 1;
       fire_tap t d [ record ]
 
-(* Build the checkpoint payload: every table (schema, index columns, the
-   whole heap including empty slots so rid allocation survives), the token
-   registry and the transaction-id high-water mark, all in one
-   checksummed frame — a torn checkpoint write is detected and the
+(* The checkpoint payload, as pieces (bytes and their Adler-32) whose
+   concatenation is: the table count; per table its schema, index columns
+   and whole heap, empty slots included so rid allocation survives; then
+   the token registry, the transaction-id high-water mark and the LSN.
+   The heap goes out as the table's cached page encodings, so only pages
+   written since the last checkpoint are encoded again; the small header
+   and trailer pieces are encoded fresh each time.  The pieces make one
+   checksummed frame, so a torn checkpoint write is detected and the
    previous durable state wins. *)
-let checkpoint_payload t d =
-  let b = Buffer.create 4096 in
-  Wal.Codec.put_int b (List.length t.order);
-  List.iter
-    (fun name ->
-      let tbl = Hashtbl.find t.tables name in
-      Wal.Codec.put_schema b (Table.schema tbl);
-      let put_cols cols =
-        Wal.Codec.put_int b (List.length cols);
-        List.iter (Wal.Codec.put_string b) cols
-      in
-      put_cols (Table.secondary_columns tbl);
-      put_cols (Table.ordered_columns tbl);
-      Wal.Codec.put_int b (Table.heap_length tbl);
-      Table.iter_slots (fun _ row -> Wal.Codec.put_row_opt b row) tbl)
-    t.order;
-  Wal.Codec.put_int b (Hashtbl.length d.tokens);
+let checkpoint_pieces t d =
+  let piece b =
+    let s = Buffer.contents b in
+    (s, Wal.checksum s)
+  in
+  let encode_page tbl lo hi =
+    let b = Buffer.create (64 * (hi - lo)) in
+    for rid = lo to hi - 1 do
+      Wal.Codec.put_row_opt b (Table.get tbl rid)
+    done;
+    piece b
+  in
+  let head = Buffer.create 16 in
+  Wal.Codec.put_int head (List.length t.order);
+  let tables =
+    List.concat_map
+      (fun name ->
+        let tbl = Hashtbl.find t.tables name in
+        let b = Buffer.create 256 in
+        Wal.Codec.put_schema b (Table.schema tbl);
+        let put_cols cols =
+          Wal.Codec.put_int b (List.length cols);
+          List.iter (Wal.Codec.put_string b) cols
+        in
+        put_cols (Table.secondary_columns tbl);
+        put_cols (Table.ordered_columns tbl);
+        Wal.Codec.put_int b (Table.heap_length tbl);
+        piece b :: Table.encoded_pages tbl (encode_page tbl))
+      t.order
+  in
+  let tail = Buffer.create 256 in
+  Wal.Codec.put_int tail (Hashtbl.length d.tokens);
   let toks = Hashtbl.fold (fun k () acc -> k :: acc) d.tokens [] in
-  List.iter (Wal.Codec.put_string b) (List.sort String.compare toks);
-  Wal.Codec.put_int b d.next_txn;
-  Wal.Codec.put_int b d.lsn;
-  Buffer.contents b
+  List.iter (Wal.Codec.put_string tail) (List.sort String.compare toks);
+  Wal.Codec.put_int tail d.next_txn;
+  Wal.Codec.put_int tail d.lsn;
+  (piece head :: tables) @ [ piece tail ]
 
 let write_checkpoint t d =
-  Wal.write_all d.ck (Wal.Codec.frame (checkpoint_payload t d));
+  Wal.write_frame d.ck (checkpoint_pieces t d);
   Wal.write_all d.wal "";
   d.commits_since_ck <- 0;
   (* The log was just truncated, so the next recovery replays from zero:
@@ -498,7 +517,7 @@ let snapshot_safe t =
 let snapshot t =
   match t.dur with
   | None -> invalid_arg "Database.snapshot: durability is off"
-  | Some d -> Wal.Codec.frame (checkpoint_payload t d)
+  | Some d -> Wal.Codec.frame_pieces (checkpoint_pieces t d)
 
 let install_snapshot t framed =
   match t.dur with

@@ -34,7 +34,9 @@ type recovery_stats = {
   in_doubt_aborted : int;
       (** prepared-but-undecided chunks resolved as aborted (presumed
           abort: no coordinator decision was found) *)
-  recovery_ms : float;  (** wall-clock recovery time (non-deterministic) *)
+  recovery_ms : float;
+      (** process CPU time the recovery took ([Sys.time];
+          non-deterministic) *)
 }
 (** [replayed_txns] / [replayed_records] are {e per-call deltas}: they count
     only work this recovery replayed beyond what the previous recovery of
@@ -84,8 +86,10 @@ val enable_durability :
 (** Attach a write-ahead log and a checkpoint store.  Every commit appends
     redo records framed with length + checksum; every [checkpoint_every]
     commits (default 8; 0 = never) the full state is snapshotted and the log
-    truncated.  If either store is non-empty the database first {e recovers}
-    from them, replacing its current contents. *)
+    truncated.  A checkpoint re-encodes only the heap pages written since
+    the previous one (see {!Table.encoded_pages}); its bytes equal a
+    whole-heap encoding.  If either store is non-empty the database first
+    {e recovers} from them, replacing its current contents. *)
 
 val durable : t -> bool
 

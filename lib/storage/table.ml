@@ -19,6 +19,9 @@ type t = {
   mutable live : int;
   mutable version : int;  (* bumped on every data mutation *)
   ndv_cache : (string, int * int) Hashtbl.t;  (* column -> (version, ndv) *)
+  mutable pages : (string * int) option array;
+      (* checkpoint encoding of each heap page; [None] until encoded and
+         again once a mutator writes one of the page's slots *)
 }
 
 let create schema =
@@ -35,12 +38,27 @@ let create schema =
     live = 0;
     version = 0;
     ndv_cache = Hashtbl.create 8;
+    pages = [||];
   }
 
 let schema t = t.schema
 let row_count t = t.live
 let version t = t.version
 let touch t = t.version <- t.version + 1
+
+(* Heap slots per checkpoint page: a commit's few writes dirty few slots
+   beside them, and a 10,000-row heap is still only ~160 pages. *)
+let page_slots = 64
+
+(* Drop the cached checkpoint encoding of every page holding a slot in
+   [lo, hi].  Every heap mutator calls this for each slot it writes and for
+   the slots the heap gains or loses, which keeps every cached page equal
+   to a fresh encoding of its slots. *)
+let dirty t lo hi =
+  let last = min (hi / page_slots) (Array.length t.pages - 1) in
+  for p = lo / page_slots to last do
+    t.pages.(p) <- None
+  done
 
 let index_add idx v rid =
   let rids = Option.value ~default:[] (Hashtbl.find_opt idx.entries v) in
@@ -127,6 +145,7 @@ let insert t row =
   validate t row;
   check_pk_free t row;
   let rid = Vec.push t.heap (Some row) in
+  dirty t rid rid;
   link_indexes t rid row;
   t.live <- t.live + 1;
   touch t;
@@ -139,6 +158,7 @@ let delete t rid =
   | None -> None
   | Some row ->
       Vec.set t.heap rid None;
+      dirty t rid rid;
       unlink_indexes t rid row;
       t.live <- t.live - 1;
       touch t;
@@ -156,6 +176,7 @@ let update t rid row =
       | _ -> ());
       unlink_indexes t rid old;
       Vec.set t.heap rid (Some row);
+      dirty t rid rid;
       link_indexes t rid row;
       touch t;
       old
@@ -172,6 +193,7 @@ let ordered_columns t = List.rev_map fst t.ordered
    pre-crash history.  No constraint checks — the records describe already
    committed states. *)
 let apply_redo t rid row =
+  dirty t (min rid (Vec.length t.heap)) rid;
   while Vec.length t.heap <= rid do
     ignore (Vec.push t.heap None)
   done;
@@ -198,16 +220,37 @@ let shrink_tail t rid =
   for i = rid to len - 1 do
     if Vec.get t.heap i <> None then all_empty := false
   done;
-  if !all_empty then Vec.truncate t.heap rid
+  if !all_empty && rid < len then begin
+    dirty t rid (len - 1);
+    Vec.truncate t.heap rid
+  end
 
 let restore t rid row =
   match Vec.get t.heap rid with
   | Some _ -> invalid_arg "Table.restore: slot is occupied"
   | None ->
       Vec.set t.heap rid (Some row);
+      dirty t rid rid;
       link_indexes t rid row;
       t.live <- t.live + 1;
       touch t
+
+let encoded_pages t encode =
+  let len = Vec.length t.heap in
+  let n = (len + page_slots - 1) / page_slots in
+  if n > Array.length t.pages then begin
+    let pages = Array.make (max n (2 * Array.length t.pages)) None in
+    Array.blit t.pages 0 pages 0 (Array.length t.pages);
+    t.pages <- pages
+  end;
+  List.init n (fun p ->
+      match t.pages.(p) with
+      | Some page -> page
+      | None ->
+          let lo = p * page_slots in
+          let page = encode lo (min len (lo + page_slots)) in
+          t.pages.(p) <- Some page;
+          page)
 
 let iter f t =
   Vec.iteri

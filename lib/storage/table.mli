@@ -51,7 +51,17 @@ val heap_length : t -> int
 (** Total heap slots, including deleted ones — the next insert's rid. *)
 
 val iter_slots : (rid -> Value.t array option -> unit) -> t -> unit
-(** Visit every slot in rid order, deleted ones included (checkpointing). *)
+(** Visit every slot in rid order, deleted ones included (fingerprints). *)
+
+val encoded_pages : t -> (rid -> rid -> string * int) -> (string * int) list
+(** The heap's checkpoint encoding, one entry per page of 64 consecutive
+    slots (the last page may be partial): a page's cached encoding, or else
+    [encode lo hi] of its slots [lo] to [hi - 1], cached in turn.  Every
+    heap mutator ({!insert}, {!update}, {!delete}, {!restore},
+    {!shrink_tail}, {!apply_redo}) drops the cached encoding of each page
+    whose slots or slot count it changes, so a cached page always equals a
+    fresh encoding of its current slots.  That rests on one invariant: a
+    row array is never mutated in place once it is in the heap. *)
 
 val secondary_columns : t -> string list
 (** Columns carrying a secondary hash index, in creation order. *)

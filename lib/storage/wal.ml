@@ -32,26 +32,66 @@ let append store s =
           Out_channel.output_string oc s;
           Out_channel.flush oc)
 
-let write_all store s =
+(* Replace the whole contents with the strings [emit] feeds to [add]: the
+   buffer is refilled in place for [Mem]; a [File] is written to a temp file
+   and renamed over the old one, so a crash mid-rewrite keeps the previous
+   contents. *)
+let replace store emit =
   match store with
   | Mem b ->
       Buffer.clear b;
-      Buffer.add_string b s
+      emit (Buffer.add_string b)
   | File path ->
       let tmp = path ^ ".tmp" in
-      Out_channel.with_open_bin tmp (fun oc -> Out_channel.output_string oc s);
+      Out_channel.with_open_bin tmp (fun oc ->
+          emit (Out_channel.output_string oc));
       Sys.rename tmp path
 
-let is_empty store = String.length (contents store) = 0
+let write_all store s = replace store (fun add -> add s)
 
-let checksum s =
+let is_empty = function
+  | Mem b -> Buffer.length b = 0
+  | File path ->
+      (not (Sys.file_exists path))
+      || In_channel.with_open_bin path In_channel.length = 0L
+
+(* Adler-32 (RFC 1950) of [len] bytes of [s] from [pos].  The sums are
+   reduced once per [nmax]-byte block, as zlib does: [nmax] is the longest
+   run whose unreduced sums fit 32 bits, far inside OCaml's 63-bit ints, so
+   the result equals reducing after every byte. *)
+let base = 65521
+let nmax = 5552
+
+let adler32 s pos len =
   let a = ref 1 and b = ref 0 in
-  String.iter
-    (fun c ->
-      a := (!a + Char.code c) mod 65521;
-      b := (!b + !a) mod 65521)
-    s;
+  let pos = ref pos and left = ref len in
+  while !left > 0 do
+    let n = min !left nmax in
+    for i = !pos to !pos + n - 1 do
+      a := !a + Char.code (String.unsafe_get s i);
+      b := !b + !a
+    done;
+    a := !a mod base;
+    b := !b mod base;
+    pos := !pos + n;
+    left := !left - n
+  done;
   (!b lsl 16) lor !a
+
+let checksum s = adler32 s 0 (String.length s)
+
+(* zlib's adler32_combine.  Appending [len2] bytes whose own checksum is
+   [sum2] adds their byte sum (the low half of [sum2], less its initial 1)
+   to the low half; the high half gains [len2] copies of the running low
+   half plus the high half of [sum2], less the [len2] initial 1s that
+   [sum2] counted once per byte. *)
+let checksum_combine sum1 sum2 len2 =
+  let rem = len2 mod base in
+  let a1 = sum1 land 0xffff and a2 = sum2 land 0xffff in
+  let b1 = sum1 lsr 16 and b2 = sum2 lsr 16 in
+  let a = (a1 + a2 + base - 1) mod base in
+  let b = ((rem * a1) + b1 + b2 + base - rem) mod base in
+  (b lsl 16) lor a
 
 module Codec = struct
   exception Corrupt
@@ -179,12 +219,32 @@ module Codec = struct
     | s -> s
     | exception Invalid_argument _ -> raise Corrupt
 
-  let frame payload =
-    let b = Buffer.create (String.length payload + 8) in
-    Buffer.add_int32_be b (Int32.of_int (String.length payload));
-    Buffer.add_int32_be b (Int32.of_int (checksum payload));
-    Buffer.add_string b payload;
+  (* The 8-byte header of the frame whose payload is the concatenation of
+     [pieces]: their summed length, and their checksums combined in order. *)
+  let header pieces =
+    let len, sum =
+      List.fold_left
+        (fun (len, sum) (s, s_sum) ->
+          let n = String.length s in
+          (len + n, checksum_combine sum s_sum n))
+        (0, checksum "") pieces
+    in
+    let b = Bytes.create 8 in
+    Bytes.set_int32_be b 0 (Int32.of_int len);
+    Bytes.set_int32_be b 4 (Int32.of_int sum);
+    Bytes.unsafe_to_string b
+
+  let emit_frame pieces add =
+    add (header pieces);
+    List.iter (fun (s, _) -> add s) pieces
+
+  let frame_pieces pieces =
+    let size = List.fold_left (fun n (s, _) -> n + String.length s) 8 pieces in
+    let b = Buffer.create size in
+    emit_frame pieces (Buffer.add_string b);
     Buffer.contents b
+
+  let frame payload = frame_pieces [ (payload, checksum payload) ]
 
   let unframe bytes pos =
     let total = String.length bytes in
@@ -193,10 +253,8 @@ module Codec = struct
       let len = Int32.to_int (String.get_int32_be bytes pos) in
       let sum = Int32.to_int (String.get_int32_be bytes (pos + 4)) in
       if len < 0 || pos + 8 + len > total then None
-      else
-        let payload = String.sub bytes (pos + 8) len in
-        if checksum payload land 0xffffffff <> sum land 0xffffffff then None
-        else Some (payload, pos + 8 + len)
+      else if adler32 bytes (pos + 8) len <> sum land 0xffffffff then None
+      else Some (String.sub bytes (pos + 8) len, pos + 8 + len)
 end
 
 type record =
@@ -246,6 +304,7 @@ let encode_record r =
 
 let encode records = String.concat "" (List.map encode_record records)
 let append_records store records = append store (encode records)
+let write_frame store pieces = replace store (Codec.emit_frame pieces)
 
 let decode_record payload =
   let r = Codec.reader payload in

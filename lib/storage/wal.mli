@@ -28,7 +28,16 @@ val append : store -> string -> unit
 val write_all : store -> string -> unit
 (** Replace the whole contents (checkpoint install, torn-tail truncation). *)
 
+val write_frame : store -> (string * int) list -> unit
+(** [write_frame store pieces] replaces the whole contents with one frame
+    whose payload is the concatenation of [pieces], each given with its
+    {!checksum}.  The bytes equal [Codec.frame] of the concatenated
+    payload, but the frame's length and checksum come from the pieces and
+    the pieces go straight into the store, so the payload is never
+    assembled or rescanned (page-cached checkpoints). *)
+
 val is_empty : store -> bool
+(** Whether the store holds no bytes, without reading them. *)
 
 (** {2 Records} *)
 
@@ -69,7 +78,14 @@ val scan : string -> record list * int
     prefix.  Never raises: a torn or corrupt tail just ends the scan. *)
 
 val checksum : string -> int
-(** Adler-32 (exposed for tests). *)
+(** Adler-32 (RFC 1950), the frame checksum.  It is also the shard-routing
+    hash: {!Shard} places a row on shard [checksum pk mod n], so its value
+    must never change. *)
+
+val checksum_combine : int -> int -> int -> int
+(** zlib's [adler32_combine]:
+    [checksum_combine (checksum a) (checksum b) (String.length b)] is
+    [checksum (a ^ b)]. *)
 
 (** {2 Codec}
 
@@ -98,7 +114,12 @@ module Codec : sig
   val frame : string -> string
   (** Wrap a payload as [length | checksum | payload]. *)
 
+  val frame_pieces : (string * int) list -> string
+  (** The frame {!write_frame} writes: [frame_pieces pieces] is [frame] of
+      the concatenated pieces, each given with its {!checksum}. *)
+
   val unframe : string -> int -> (string * int) option
   (** [unframe bytes pos] reads one frame at [pos]; [Some (payload, next)]
-      if complete and checksum-valid, [None] for a torn or corrupt frame. *)
+      if complete and checksum-valid, [None] for a torn or corrupt frame.
+      The checksum is verified in place; only a valid payload is copied. *)
 end

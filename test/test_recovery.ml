@@ -4,6 +4,7 @@
 
 module Db = Sloth_storage.Database
 module Wal = Sloth_storage.Wal
+module Table = Sloth_storage.Table
 module Rs = Sloth_storage.Result_set
 module Vclock = Sloth_net.Vclock
 module Link = Sloth_net.Link
@@ -94,6 +95,86 @@ let test_wal_garbage_resistant () =
       Alcotest.(check bool) "no records from garbage" true (records = []);
       Alcotest.(check int) "no valid bytes" 0 valid)
     garbage
+
+(* --- Adler-32 ------------------------------------------------------------- *)
+
+(* The definition, one byte at a time and reduced after every byte: the
+   oracle for the block-reduced [Wal.checksum]. *)
+let adler32_reference s =
+  let a = ref 1 and b = ref 0 in
+  String.iter
+    (fun c ->
+      a := (!a + Char.code c) mod 65521;
+      b := (!b + !a) mod 65521)
+    s;
+  (!b lsl 16) lor !a
+
+let test_checksum_known_answers () =
+  List.iter
+    (fun (s, sum) ->
+      Alcotest.(check int) (Printf.sprintf "%S" s) sum (Wal.checksum s))
+    [
+      ("", 0x1);
+      ("a", 0x00620062);
+      ("abc", 0x024d0127);
+      ("Wikipedia", 0x11e60398);
+    ];
+  (* all-0xff bytes drive both sums fastest, across several 5,552-byte
+     reduction blocks and the 65,521 modulus *)
+  let ff = String.make 70_000 '\xff' in
+  Alcotest.(check int) "70,000 x 0xff" (adler32_reference ff) (Wal.checksum ff)
+
+let gen_bytes = QCheck.Gen.(string_size ~gen:char (int_bound 20_000))
+
+let print_len s = Printf.sprintf "<%d bytes>" (String.length s)
+
+let prop_checksum_reference =
+  QCheck.Test.make ~count:300
+    ~name:"checksum equals the byte-at-a-time adler32"
+    (QCheck.make gen_bytes ~print:print_len)
+    (fun s -> Wal.checksum s = adler32_reference s)
+
+let prop_checksum_combine =
+  QCheck.Test.make ~count:300 ~name:"checksum combine law"
+    (QCheck.make
+       QCheck.Gen.(pair gen_bytes gen_bytes)
+       ~print:(fun (a, b) -> print_len a ^ " ^ " ^ print_len b))
+    (fun (a, b) ->
+      Wal.checksum (a ^ b)
+      = Wal.checksum_combine (Wal.checksum a) (Wal.checksum b)
+          (String.length b))
+
+let test_checksum_combine_long () =
+  (* a second piece longer than the modulus: the law reduces its length *)
+  let a = "head"
+  and b = String.init 200_000 (fun i -> Char.chr (i * 7 land 0xff)) in
+  Alcotest.(check int) "long tail"
+    (Wal.checksum (a ^ b))
+    (Wal.checksum_combine (Wal.checksum a) (Wal.checksum b) (String.length b))
+
+(* Both stores receive a frame written from pieces as exactly the bytes of
+   [Codec.frame] over the concatenated payload. *)
+let test_write_frame_stores () =
+  let parts = [ "checkpoint "; ""; "pieces"; String.make 9_000 'p' ] in
+  let pieces = List.map (fun s -> (s, Wal.checksum s)) parts in
+  let expected = Wal.Codec.frame (String.concat "" parts) in
+  Alcotest.(check string)
+    "frame_pieces" expected
+    (Wal.Codec.frame_pieces pieces);
+  let mem = Wal.mem () in
+  Alcotest.(check bool) "fresh mem store is empty" true (Wal.is_empty mem);
+  Wal.append mem "stale";
+  Alcotest.(check bool) "written mem store is not" false (Wal.is_empty mem);
+  Wal.write_frame mem pieces;
+  Alcotest.(check string) "mem store" expected (Wal.contents mem);
+  let path = Filename.temp_file "sloth_frame" ".bin" in
+  let file = Wal.file path in
+  Alcotest.(check bool) "empty file is empty" true (Wal.is_empty file);
+  Wal.write_frame file pieces;
+  Alcotest.(check string) "file store" expected (Wal.contents file);
+  Alcotest.(check bool) "written file is not empty" false (Wal.is_empty file);
+  Sys.remove path;
+  Alcotest.(check bool) "missing file is empty" true (Wal.is_empty file)
 
 (* --- database recovery ---------------------------------------------------- *)
 
@@ -480,6 +561,223 @@ let test_recovery_delta_stats () =
   Alcotest.(check int) "and deltas resume after it" 1 t6;
   Alcotest.(check bool) "with its records" true (r6 > 0)
 
+(* --- page-cached checkpoints ---------------------------------------------- *)
+
+(* Property: a checkpoint assembled from the heap's cached page encodings
+   is byte-identical to the full encoding of the current state, over
+   random histories on a durable primary and a follower fed by its commit
+   tap.  The reference frame below is the whole-heap encoder, built from
+   the codec primitives alone.  Every step is followed by a snapshot of
+   both engines, which re-caches every page, so a mutator that forgot to
+   drop a page it wrote shows up as a stale page at the next snapshot.
+   The history reaches every heap mutator: inserts, updates and deletes
+   through SQL; [restore] and the undo [update] when a rolled-back batch
+   was snapshotted mid-transaction; [apply_redo] on the follower's cached
+   pages; and [shrink_tail] directly, because in [Txn]'s insert undo the
+   [delete] just before it has already dropped the same page. *)
+
+let full_frame db ~tokens =
+  let b = Buffer.create 4096 in
+  let names = Db.table_names db in
+  Wal.Codec.put_int b (List.length names);
+  List.iter
+    (fun name ->
+      let tbl = Option.get (Db.table db name) in
+      Wal.Codec.put_schema b (Table.schema tbl);
+      let put_cols cols =
+        Wal.Codec.put_int b (List.length cols);
+        List.iter (Wal.Codec.put_string b) cols
+      in
+      put_cols (Table.secondary_columns tbl);
+      put_cols (Table.ordered_columns tbl);
+      Wal.Codec.put_int b (Table.heap_length tbl);
+      Table.iter_slots (fun _ row -> Wal.Codec.put_row_opt b row) tbl)
+    names;
+  Wal.Codec.put_int b (List.length tokens);
+  List.iter (Wal.Codec.put_string b) (List.sort String.compare tokens);
+  Wal.Codec.put_int b (Db.next_txn_id db);
+  Wal.Codec.put_int b (Db.current_lsn db);
+  Wal.Codec.frame (Buffer.contents b)
+
+type ck_step =
+  | Write of string  (** one autocommitted statement *)
+  | Batch of string list * string option
+      (** one [atomically] batch, with an idempotency token or not *)
+  | Rolled_back of string list
+      (** BEGIN, the writes, a snapshot, ROLLBACK *)
+  | Crash of string list  (** BEGIN, the writes, then a primary crash *)
+  | Crash_follower
+  | Catch_up  (** install the primary's snapshot on the follower *)
+  | Checkpoint
+  | Trim  (** [shrink_tail] the primary's trailing empty slots *)
+
+let print_ck_step = function
+  | Write sql -> sql
+  | Batch (sqls, tok) ->
+      Printf.sprintf "BATCH%s[%s]"
+        (match tok with Some k -> " " ^ k | None -> "")
+        (String.concat "; " sqls)
+  | Rolled_back sqls -> "ROLLED-BACK[" ^ String.concat "; " sqls ^ "]"
+  | Crash sqls -> "CRASH[" ^ String.concat "; " sqls ^ "]"
+  | Crash_follower -> "CRASH-FOLLOWER"
+  | Catch_up -> "CATCH-UP"
+  | Checkpoint -> "CHECKPOINT"
+  | Trim -> "TRIM"
+
+(* Ids up to 300 and multi-row inserts grow the heap over several 64-slot
+   pages; a duplicate id fails its statement, which rolls back the rows it
+   already inserted. *)
+let gen_ck_write =
+  QCheck.Gen.(
+    let id = int_bound 300 in
+    frequency
+      [
+        ( 3,
+          let* ids = list_size (int_range 1 40) id in
+          return
+            (Printf.sprintf "INSERT INTO t (id, v, n) VALUES %s"
+               (String.concat ", "
+                  (List.map
+                     (fun i ->
+                       if i mod 5 = 0 then Printf.sprintf "(%d, NULL, %d)" i i
+                       else Printf.sprintf "(%d, 'v%d', %d)" i i (i mod 7))
+                     ids))) );
+        ( 1,
+          let* k = id in
+          return
+            (Printf.sprintf "INSERT INTO u (k, w) VALUES (%d, 'w%d')" k k) );
+        ( 2,
+          let* i = id and* n = int_bound 9 in
+          return
+            (Printf.sprintf "UPDATE t SET n = %d, v = 'u%d' WHERE id = %d" n n
+               i) );
+        ( 1,
+          let* i = id in
+          return (Printf.sprintf "UPDATE t SET n = n + 1 WHERE id < %d" i) );
+        ( 2,
+          let* i = id in
+          return (Printf.sprintf "DELETE FROM t WHERE id = %d" i) );
+        ( 1,
+          let* i = id in
+          return (Printf.sprintf "DELETE FROM t WHERE id >= %d" i) );
+        ( 1,
+          let* k = id in
+          return (Printf.sprintf "DELETE FROM u WHERE k <= %d" k) );
+      ])
+
+let gen_ck_history =
+  QCheck.Gen.(
+    let writes = list_size (int_range 1 4) gen_ck_write in
+    let step =
+      frequency
+        [
+          (6, map (fun w -> Write w) gen_ck_write);
+          ( 2,
+            let* ws = writes and* tok = option (int_bound 9) in
+            return (Batch (ws, Option.map (Printf.sprintf "tok-%d") tok)) );
+          (2, map (fun ws -> Rolled_back ws) writes);
+          (1, map (fun ws -> Crash ws) (list_size (int_bound 2) gen_ck_write));
+          (1, return Crash_follower);
+          (1, return Catch_up);
+          (1, return Checkpoint);
+          (1, return Trim);
+        ]
+    in
+    pair (int_range 1 3) (list_size (int_range 1 30) step))
+
+let prop_checkpoint_pages =
+  QCheck.Test.make ~count:300
+    ~name:"incremental checkpoint equals full encoding"
+    (QCheck.make gen_ck_history ~print:(fun (every, steps) ->
+         Printf.sprintf "checkpoint_every=%d: %s" every
+           (String.concat " | " (List.map print_ck_step steps))))
+    (fun (checkpoint_every, steps) ->
+      let durable () =
+        let ck = Wal.mem () and db = Db.create () in
+        Db.enable_durability ~checkpoint_every ~wal:(Wal.mem ())
+          ~checkpoint:ck db;
+        (db, ck)
+      in
+      let primary, primary_ck = durable () in
+      let follower, _ = durable () in
+      Db.set_commit_tap primary
+        (Some (fun ~lsn chunk -> Db.apply_replicated follower ~lsn chunk));
+      List.iter
+        (fun sql -> ignore (Db.exec_sql primary sql))
+        [
+          "CREATE TABLE t (id INT NOT NULL, v TEXT, n INT NOT NULL, PRIMARY \
+           KEY (id))";
+          "CREATE TABLE u (k INT NOT NULL, w TEXT NOT NULL, PRIMARY KEY (k))";
+        ];
+      Db.create_index primary ~table:"t" ~column:"n";
+      Db.create_ordered_index primary ~table:"t" ~column:"v";
+      (* Durable tokens: those of committed batches.  Both engines hold
+         all of them, since the follower sees every committed chunk. *)
+      let tokens = ref [] in
+      let try_sql sql =
+        try ignore (Db.exec_sql primary sql) with Db.Sql_error _ -> ()
+      in
+      let check label db =
+        let snap = Db.snapshot db in
+        if snap <> full_frame db ~tokens:!tokens then
+          QCheck.Test.fail_reportf "%s: snapshot differs from the full encoding"
+            label;
+        let ck = Wal.mem () and fresh = Db.create () in
+        Wal.write_all ck snap;
+        Db.enable_durability ~wal:(Wal.mem ()) ~checkpoint:ck fresh;
+        if not (Option.get (Db.last_recovery fresh)).Db.from_checkpoint then
+          QCheck.Test.fail_reportf "%s: recovery rejects the snapshot" label;
+        if Db.fingerprint fresh <> Db.fingerprint db then
+          QCheck.Test.fail_reportf "%s: recovery from the snapshot differs"
+            label
+      in
+      List.iteri
+        (fun i step ->
+          let label = Printf.sprintf "step %d (%s)" i (print_ck_step step) in
+          (match step with
+          | Write sql -> try_sql sql
+          | Batch (sqls, token) -> (
+              let run () =
+                List.iter (fun sql -> ignore (Db.exec_sql primary sql)) sqls
+              in
+              match Db.atomically ?token primary run with
+              | () ->
+                  Option.iter
+                    (fun k ->
+                      if not (List.mem k !tokens) then tokens := k :: !tokens)
+                    token
+              | exception Db.Sql_error _ -> ())
+          | Rolled_back sqls ->
+              try_sql "BEGIN";
+              List.iter try_sql sqls;
+              check (label ^ " mid-transaction") primary;
+              try_sql "ROLLBACK"
+          | Crash sqls ->
+              if sqls <> [] then try_sql "BEGIN";
+              List.iter try_sql sqls;
+              Db.crash_restart primary
+          | Crash_follower -> Db.crash_restart follower
+          | Catch_up ->
+              if not (Db.install_snapshot follower (Db.snapshot primary)) then
+                QCheck.Test.fail_reportf "%s: catch-up snapshot refused" label
+          | Checkpoint ->
+              Db.checkpoint_now primary;
+              if Wal.contents primary_ck <> full_frame primary ~tokens:!tokens
+              then
+                QCheck.Test.fail_reportf
+                  "%s: checkpoint store differs from the full encoding" label
+          | Trim ->
+              let tbl = Option.get (Db.table primary "t") in
+              let len = ref (Table.heap_length tbl) in
+              while !len > 0 && Table.get tbl (!len - 1) = None do
+                decr len
+              done;
+              Table.shrink_tail tbl !len);
+          check (label ^ " primary") primary;
+          check (label ^ " follower") follower)
+        steps;
+      true)
+
 let () =
   Alcotest.run "recovery"
     [
@@ -494,6 +792,18 @@ let () =
           QCheck_alcotest.to_alcotest fuzz_wal_append_after_recovery;
           QCheck_alcotest.to_alcotest fuzz_two_stream_isolation;
         ] );
+      ( "adler32",
+        [
+          Alcotest.test_case "known answers" `Quick test_checksum_known_answers;
+          Alcotest.test_case "combine over a long tail" `Quick
+            test_checksum_combine_long;
+          Alcotest.test_case "frame written from pieces" `Quick
+            test_write_frame_stores;
+          QCheck_alcotest.to_alcotest prop_checksum_reference;
+          QCheck_alcotest.to_alcotest prop_checksum_combine;
+        ] );
+      ( "checkpoints",
+        [ QCheck_alcotest.to_alcotest prop_checkpoint_pages ] );
       ( "recovery",
         [
           Alcotest.test_case "replays log" `Quick test_recovery_replays_log;

@@ -15,7 +15,7 @@ if command -v ocamlformat >/dev/null 2>&1; then
 else
   drift=$(grep -rnl -e '	' -e ' $' \
     --include='*.ml' --include='*.mli' --include='dune' \
-    lib bin bench test 2>/dev/null || true)
+    lib bin bench test benchmark examples tools 2>/dev/null || true)
   if [ -n "$drift" ]; then
     echo "formatting drift (tabs or trailing whitespace) in:" >&2
     echo "$drift" >&2
